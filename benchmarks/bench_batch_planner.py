@@ -3,12 +3,13 @@
 Runs a skewed multi-query workload — queries drawn from the dataset's
 hot corner (the batch-analysis skew of Section V-A), with two of them
 repeated, the way production streams re-issue hot queries — through
-three executions per measure:
+two executions per measure:
 
-* ``single``   — per-query one-shot fan-out (the exactness reference);
-* ``per_query``— per-query waved plans (PR 3's planner, one plan per
-  query: ``queries x partitions`` task inflation, no sharing);
-* ``batch``    — ``top_k_batch(plan="waves")``: one shared probe pass
+* ``per_query``— per-query waved plans (``top_k``, one plan per query:
+  ``queries x partitions`` task inflation, no sharing), each answer
+  checked against the brute-force oracle (:mod:`repro.testing.oracle`)
+  and kept as the exactness reference;
+* ``batch``    — ``top_k_batch``: one shared probe pass
   (served from the epoch-invalidated probe cache on repeats),
   fingerprint-identical queries deduplicated, partition-affinity task
   grouping through ``local_search_multi``, and a per-query threshold
@@ -17,7 +18,7 @@ three executions per measure:
 
 Recorded per measure: dispatched tasks, executed (query, partition)
 searches, exact refinements, probe-cache hits, cross-query
-tightenings, wall and simulated (barrier-aware) times.  All three
+tightenings, wall and simulated (barrier-aware) times.  Both
 executions are exact and bit-identical per query (asserted here;
 property-tested in ``tests/test_batch_planner.py``), so every delta is
 pure work saved.  Results are persisted to
@@ -38,6 +39,7 @@ import numpy as np
 from repro.bench import BenchConfig, format_table, make_workload, write_report
 from repro.bench.config import RESULTS_DIR
 from repro.repose import Repose
+from repro.testing.oracle import Oracle
 
 CFG = BenchConfig.from_env()
 
@@ -83,17 +85,17 @@ def _batch_cell(measure_name: str, workload) -> dict:
         "k": K,
     }
 
-    # Exactness reference: per-query single-shot.
-    reference = [engine.top_k(q, K, plan="single").result.items
-                 for q in queries]
-
-    # Per-query waved plans (one full plan per query).
+    # Per-query waved plans (one full plan per query), each checked
+    # against brute force: they are the batch's exactness reference.
+    truth = Oracle(engine.measure, workload.dataset.trajectories)
+    reference = []
     per_query = {"tasks": 0, "exact_refinements": 0,
                  "partitions_skipped": 0, "wall_seconds": 0.0,
                  "simulated_seconds": 0.0}
-    for query, expected in zip(queries, reference):
-        outcome = engine.top_k(query, K, plan="waves")
-        assert outcome.result.items == expected
+    for query in queries:
+        outcome = engine.top_k(query, K)
+        truth.check_top_k(outcome.result.items, query, K, measure_name)
+        reference.append(outcome.result.items)
         per_query["tasks"] += sum(len(w.partitions)
                                   for w in outcome.plan.waves)
         per_query["exact_refinements"] += \
@@ -105,7 +107,7 @@ def _batch_cell(measure_name: str, workload) -> dict:
 
     # The batched wave plan (probes now served from the cache).
     hits_before, misses_before = cache.hits, cache.misses
-    batch_outcome = engine.top_k_batch(queries, K, plan="waves")
+    batch_outcome = engine.top_k_batch(queries, K)
     for result, expected in zip(batch_outcome.results, reference):
         assert result.items == expected
     report = batch_outcome.plan

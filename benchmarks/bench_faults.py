@@ -13,7 +13,8 @@ Two questions about the fault-tolerant execution layer
 * **Recovery** — what does surviving faults cost?  The same workload
   runs with a deterministic
   :class:`~repro.testing.faults.FaultInjector` at a 10% fault rate;
-  every query must complete bit-identical to the fault-free reference,
+  every query must complete bit-identical to the fault-free reference
+  (each query's own ``top_k`` answer, checked against brute force),
   and the recorded wall time + retry counters show the price of the
   retries that made that happen.
 
@@ -33,6 +34,7 @@ from repro.bench.config import RESULTS_DIR
 from repro.cluster.engine import FaultPolicy
 from repro.repose import Repose
 from repro.testing import FaultInjector
+from repro.testing.oracle import Oracle
 
 CFG = BenchConfig.from_env()
 
@@ -70,7 +72,7 @@ def _min_wall(engine: Repose, queries, repeats: int) -> tuple[float, object]:
     outcome = None
     for _ in range(repeats):
         start = time.perf_counter()
-        outcome = engine.top_k_batch(queries, K, plan="waves")
+        outcome = engine.top_k_batch(queries, K)
         best = min(best, time.perf_counter() - start)
     return best, outcome
 
@@ -86,8 +88,12 @@ def test_report_faults():
                           engine="thread")
     queries = _skewed_queries(workload)
 
-    reference = [engine.top_k(q, K, plan="single").result.items
-                 for q in queries]
+    truth = Oracle(engine.measure, workload.dataset.trajectories)
+    reference = []
+    for query in queries:
+        items = engine.top_k(query, K).result.items
+        truth.check_top_k(items, query, K)
+        reference.append(items)
 
     # -- overhead: fail-fast vs supervised, zero faults ------------------
     engine.context.engine.fault_policy = None
@@ -111,7 +117,7 @@ def test_report_faults():
     recovery_outcome = None
     for _ in range(REPEATS):
         start = time.perf_counter()
-        recovery_outcome = engine.top_k_batch(queries, K, plan="waves")
+        recovery_outcome = engine.top_k_batch(queries, K)
         recovery_wall = min(recovery_wall, time.perf_counter() - start)
         assert recovery_outcome.complete
         for result, expected in zip(recovery_outcome.results, reference):

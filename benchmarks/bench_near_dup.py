@@ -18,8 +18,9 @@ measure:
 Recorded per measure: probe lookups, leaf tensor builds (the columnar
 stores' ``gather_calls``), exact refinements, dispatched tasks,
 share-group and tightening counters, wall and simulated times.  Both
-configurations are exact and bit-identical per query to ``plan=
-"single"`` (asserted here; property-tested in
+configurations are exact and bit-identical per query to the query's
+own ``top_k`` answer, itself checked against the brute-force oracle
+(asserted here; property-tested in
 ``tests/test_batch_planner.py``, fuzzed in
 ``tests/test_fuzz_equivalence.py``), so every delta is pure work
 moved or saved.  Results land in
@@ -54,6 +55,7 @@ from repro.bench.config import RESULTS_DIR
 from repro.distances import get_measure
 from repro.repose import Repose
 from repro.types import Trajectory
+from repro.testing.oracle import Oracle
 
 CFG = BenchConfig.from_env()
 
@@ -116,14 +118,18 @@ def _near_dup_cell(name: str, workload) -> dict:
                           plan_options={"wave_size": WAVE_SIZE})
     queries = _jittered_queries(workload)
 
-    # Exactness reference: per-query single-shot.
-    reference = [engine.top_k(q, K, plan="single").result.items
-                 for q in queries]
+    # Exactness reference: each query's own top_k answer, checked
+    # against brute force.
+    truth = Oracle(engine.measure, workload.dataset.trajectories)
+    reference = []
+    for query in queries:
+        items = engine.top_k(query, K).result.items
+        truth.check_top_k(items, query, K, name)
+        reference.append(items)
 
     def run(plan_options: dict) -> dict:
         before = _gather_calls(engine)
-        outcome = engine.top_k_batch(queries, K, plan="waves",
-                                     plan_options=plan_options)
+        outcome = engine.top_k_batch(queries, K, plan_options=plan_options)
         for result, expected in zip(outcome.results, reference):
             assert result.items == expected, name
         report = outcome.plan

@@ -1,8 +1,10 @@
-"""BENCH_planner — single-shot fan-out vs the two-phase wave planner.
+"""BENCH_planner — one probe-ordered wave vs the two-phase wave planner.
 
 Runs the same skewed synthetic workload (queries drawn from the
-dataset's hot region, so partition promise varies sharply) through
-``plan="single"`` and ``plan="waves"`` and records, per measure:
+dataset's hot region, so partition promise varies sharply) through a
+single-shot plan — every partition in one wave,
+``plan_options={"wave_size": NUM_PARTITIONS}``, so no threshold is ever
+broadcast — and through the default waves, recording per measure:
 
 * exact refinements (full exact-distance evaluations) — the work
   threshold propagation exists to remove;
@@ -12,8 +14,8 @@ dataset's hot region, so partition promise varies sharply) through
 * wall and simulated (barrier-aware) query times.
 
 Both plans are exact and bit-identical (asserted here per query and
-property-tested in ``tests/test_planner.py``), so every delta below is
-pure work saved.  Results are printed as a table and persisted to
+property-tested against a brute-force oracle in
+``tests/test_planner.py``), so every delta below is pure work saved.  Results are printed as a table and persisted to
 ``benchmarks/results/BENCH_planner.json`` for the perf trajectory.
 """
 
@@ -53,10 +55,13 @@ def _skewed_queries(workload, count: int) -> list:
 
 def _planner_cell(measure_name: str, workload) -> dict:
     """Single-shot vs waved counters for one measure."""
-    engine = Repose.build(workload.dataset, measure=measure_name,
-                          delta=workload.delta,
-                          num_partitions=NUM_PARTITIONS,
-                          plan_options={"wave_size": WAVE_SIZE})
+    engines = {
+        mode: Repose.build(workload.dataset, measure=measure_name,
+                           delta=workload.delta,
+                           num_partitions=NUM_PARTITIONS,
+                           plan_options={"wave_size": wave_size})
+        for mode, wave_size in (("single", NUM_PARTITIONS),
+                                ("waves", WAVE_SIZE))}
     queries = _skewed_queries(workload, NUM_QUERIES)
 
     cell = {
@@ -66,13 +71,13 @@ def _planner_cell(measure_name: str, workload) -> dict:
         "k": K,
     }
     totals = {"single": {}, "waves": {}}
-    for mode in ("single", "waves"):
+    for mode, engine in engines.items():
         exact = refined = pruned = 0
         skipped = broadcasts = 0
         wall = simulated = 0.0
         results = []
         for query in queries:
-            outcome = engine.top_k(query, K, plan=mode)
+            outcome = engine.top_k(query, K)
             stats = outcome.result.stats
             exact += stats.exact_refinements
             refined += stats.distance_computations

@@ -7,8 +7,9 @@ cell: once with the legacy greedy scans (``plan_options={"query_index":
 False}``: greedy first-fit clustering, the full pairwise cross-query
 matrix under the 64-active cap, MRU-8 registry scans) and once with the
 VP-tree query index that replaced them.  Results are asserted
-bit-identical per query to ``plan="single"`` in every configuration —
-the index only reorganizes driver-side work.
+bit-identical per query to the query's own ``top_k`` answer, itself
+checked against the brute-force oracle, in every configuration — the
+index only reorganizes driver-side work.
 
 Cells:
 
@@ -38,6 +39,7 @@ import numpy as np
 from repro.bench import BenchConfig, format_table, make_workload, write_report
 from repro.bench.config import RESULTS_DIR
 from repro.repose import Repose
+from repro.testing.oracle import Oracle
 from repro.types import Trajectory
 
 CFG = BenchConfig.from_env()
@@ -100,19 +102,21 @@ def _cell(cell_name: str, workload) -> dict:
     assert len(queries) == TOTAL_QUERIES
 
     # Exactness references, memoized by point content (exact re-issues
-    # share one single-shot computation).
+    # share one computation): each query's own top_k answer, checked
+    # against brute force.
+    truth = Oracle(engine.measure, workload.dataset.trajectories)
     memo: dict[bytes, list] = {}
     reference = []
     for query in queries:
         ckey = query.points.tobytes()
         if ckey not in memo:
-            memo[ckey] = engine.top_k(query, K,
-                                      plan="single").result.items
+            memo[ckey] = engine.top_k(query, K).result.items
+            truth.check_top_k(memo[ckey], query, K, cell_name)
         reference.append(memo[ckey])
 
     def run(query_index: bool) -> dict:
         outcome = engine.top_k_batch(
-            queries, K, plan="waves",
+            queries, K,
             plan_options={"share_eps": share_eps,
                           "query_index": query_index})
         for result, expected in zip(outcome.results, reference):

@@ -10,8 +10,9 @@ on a T-drive-like Hausdorff workload:
   from its own stored final threshold.  Recorded per pass: exact
   refinements (summed from per-request outcomes), leaf tensor builds,
   request latency percentiles on the service's own clock, and the
-  registry counters.  Both passes are asserted bit-identical to
-  ``plan="single"``.
+  registry counters.  Both passes are asserted bit-identical to each
+  query's own ``top_k`` answer, itself checked against the brute-force
+  oracle.
 
 * **Front-end overhead.**  A stream of *unique* queries (no reuse for
   the registry to exploit) is submitted all at once to a service with
@@ -40,6 +41,7 @@ import time
 from repro.bench import BenchConfig, format_table, make_workload, write_report
 from repro.bench.config import RESULTS_DIR
 from repro.repose import Repose
+from repro.testing.oracle import Oracle
 
 CFG = BenchConfig.from_env()
 
@@ -72,6 +74,17 @@ def _gather_calls(engine) -> int:
                for index in engine.local_indexes())
 
 
+def _reference(engine, queries) -> list:
+    """Each query's own ``top_k`` items, checked against brute force."""
+    truth = Oracle(engine.measure, engine.dataset.trajectories)
+    reference = []
+    for query in queries:
+        items = engine.top_k(query, K).result.items
+        truth.check_top_k(items, query, K)
+        reference.append(items)
+    return reference
+
+
 async def _serve_stream(engine, service, queries, reference) -> dict:
     """Serve one pass of ``queries`` and collect its cost counters."""
     gathers_before = _gather_calls(engine)
@@ -80,7 +93,7 @@ async def _serve_stream(engine, service, queries, reference) -> dict:
     futures = [await service.submit(query, K) for query in queries]
     outcomes = await asyncio.gather(*futures)
     for outcome, expected in zip(outcomes, reference):
-        assert outcome.result.items == expected, "served != single"
+        assert outcome.result.items == expected, "served != top_k"
         refinements.append(outcome.result.stats.exact_refinements)
     latencies = sorted(service.stats.latencies[latency_base:])
     return {
@@ -93,8 +106,7 @@ async def _serve_stream(engine, service, queries, reference) -> dict:
 
 def _hot_stream_cell(engine, queries) -> dict:
     """Cold vs registry-warm replay of one stream through one service."""
-    reference = [engine.top_k(query, K, plan="single").result.items
-                 for query in queries]
+    reference = _reference(engine, queries)
 
     async def run_cell():
         service = engine.serve(max_wait_ms=MAX_WAIT_MS,
@@ -121,16 +133,15 @@ def _hot_stream_cell(engine, queries) -> dict:
 
 def _unique_stream_cell(engine, queries) -> dict:
     """Service front-end vs direct ``top_k_batch`` on unique queries."""
-    reference = [engine.top_k(query, K, plan="single").result.items
-                 for query in queries]
+    reference = _reference(engine, queries)
 
     def timed_direct() -> float:
         engine.context.probe_cache.bump_epoch()
         started = time.perf_counter()
-        outcome = engine.top_k_batch(queries, K, plan="waves")
+        outcome = engine.top_k_batch(queries, K)
         elapsed = time.perf_counter() - started
         for result, expected in zip(outcome.results, reference):
-            assert result.items == expected, "direct != single"
+            assert result.items == expected, "direct != top_k"
         return elapsed
 
     def timed_service() -> float:
@@ -147,7 +158,7 @@ def _unique_stream_cell(engine, queries) -> dict:
                 outcomes = await asyncio.gather(*futures)
                 elapsed = time.perf_counter() - started
             for outcome, expected in zip(outcomes, reference):
-                assert outcome.result.items == expected, "served != single"
+                assert outcome.result.items == expected, "served != top_k"
             return elapsed
 
         return asyncio.run(run_pass())

@@ -5,10 +5,9 @@ This environment ships setuptools without the ``wheel`` package, so PEP
 ``setup.py`` and no ``[build-system]`` table lets ``pip install -e .``
 use the legacy ``setup.py develop`` path, which needs no wheel.
 
-The ``kernels`` extra pulls in numba for the fastest compiled DP
-kernel tier (``pip install .[kernels]``); without it the package still
-runs the cnative tier (host C compiler + ctypes) or the pure-numpy
-sweeps — see ``repro.distances.kernels``.
+The compiled DP kernel tier needs no extra package: it is built with
+the host C compiler and loaded through ctypes, falling back to the
+pure-numpy sweeps — see ``repro.distances.kernels``.
 """
 
 from setuptools import find_packages, setup
@@ -19,5 +18,4 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
-    extras_require={"kernels": ["numba"]},
 )

@@ -59,17 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: random sample)")
     query.add_argument("--radius", type=float, default=None,
                        help="run a range query instead of top-k")
-    query.add_argument("--plan", default=None,
-                       choices=["waves", "single", "fifo"],
-                       help="query execution plan: 'waves' (two-phase "
-                            "planner, the default) or 'single' "
-                            "(one-shot fan-out); results are identical. "
-                            "'fifo' (batch only) schedules every "
-                            "(query, partition) task at once, the "
-                            "Section V-A comparison path")
     query.add_argument("--wave-size", type=int, default=None,
                        help="partitions per planner wave "
-                            "(plan_options={'wave_size': N})")
+                            "(plan_options={'wave_size': N}; the "
+                            "partition count gives one wave)")
     query.add_argument("--share-eps", type=float, default=None,
                        help="near-duplicate sharing threshold for "
                             "--batch: queries within this distance of "
@@ -83,12 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "cross-tightening cap; "
                             "plan_options={'query_index': False})")
     query.add_argument("--kernels", default=None,
-                       choices=["auto", "numpy", "numba", "cnative"],
+                       choices=["auto", "numpy", "cnative"],
                        help="DP kernel backend for batch refinement: "
-                            "'numpy' (always available), 'numba'/"
-                            "'cnative' (compiled tiers, bit-identical "
-                            "results), or 'auto' (fastest available, "
-                            "the default; REPRO_KERNELS env overrides)")
+                            "'numpy' (always available), 'cnative' "
+                            "(compiled tier, bit-identical results), "
+                            "or 'auto' (fastest available, the "
+                            "default; REPRO_KERNELS env overrides)")
     query.add_argument("--calibrate", action="store_true",
                        help="calibrate the 'auto' cost model on one "
                             "real partition task before querying")
@@ -110,8 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "--max-retries 2 when given alone")
     query.add_argument("--batch", type=int, default=None, metavar="N",
                        help="run N sampled queries as one batch through "
-                            "the multi-query batch planner (with "
-                            "--plan single: sequentially) and print "
+                            "the multi-query batch planner and print "
                             "per-query top-1 plus batch statistics")
 
     serve = sub.add_parser(
@@ -215,15 +207,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("error: --batch samples its own top-k queries and cannot "
               "be combined with --radius or --query-id", file=sys.stderr)
         return 2
-    if args.batch is None and (args.plan == "fifo"
-                               or args.share_eps is not None):
-        print("error: --plan fifo and --share-eps apply to batches; "
-              "combine them with --batch N", file=sys.stderr)
-        return 2
-    if args.share_eps is not None and args.plan in ("fifo", "single"):
-        print("error: --share-eps requires the waved batch plan "
-              "(--plan waves, the default); the fifo and single paths "
-              "do not share work between queries", file=sys.stderr)
+    if args.batch is None and args.share_eps is not None:
+        print("error: --share-eps applies to batches; combine it with "
+              "--batch N", file=sys.stderr)
         return 2
     data = load_csv(args.data)
     measure = get_measure(args.measure)
@@ -238,8 +224,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
                           num_partitions=args.partitions,
                           strategy=args.strategy,
                           kernels=args.kernels,
-                          plan=("waves" if args.plan in (None, "fifo")
-                                else args.plan),
                           plan_options=plan_options or None,
                           fault_policy=_fault_policy_from(args))
     if args.calibrate:
@@ -252,23 +236,22 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         query = sample_queries(data, count=1)[0]
     if args.radius is not None:
-        outcome = engine.range_query(query, args.radius, plan=args.plan)
+        outcome = engine.range_query(query, args.radius)
         print(f"range query (id {query.traj_id}, radius {args.radius}): "
               f"{len(outcome.result)} results")
     else:
-        outcome = engine.top_k(query, args.k, plan=args.plan)
+        outcome = engine.top_k(query, args.k)
         print(f"top-{args.k} for trajectory {query.traj_id} "
               f"({measure.name}):")
     for rank, (dist, tid) in enumerate(outcome.result.items, start=1):
         print(f"  {rank:3d}. id {tid:6d}  distance {dist:.6f}")
-    if outcome.plan is not None:
-        print(f"plan: {len(outcome.plan.waves)} waves, "
-              f"{outcome.plan.partitions_skipped} partitions skipped, "
-              f"{outcome.plan.threshold_broadcasts} threshold broadcasts")
-        if outcome.plan.retries or outcome.plan.timeouts:
-            print(f"faults: {outcome.plan.retries} retries, "
-                  f"{outcome.plan.timeouts} timeouts, "
-                  f"{outcome.plan.speculative_wins} speculative wins")
+    plan = outcome.plan
+    print(f"plan: {len(plan.waves)} waves, "
+          f"{plan.partitions_skipped} partitions skipped, "
+          f"{plan.threshold_broadcasts} threshold broadcasts")
+    if plan.retries or plan.timeouts:
+        print(f"faults: {plan.retries} retries, {plan.timeouts} timeouts, "
+              f"{plan.speculative_wins} speculative wins")
     _warn_incomplete(outcome)
     print(f"simulated query time: {outcome.simulated_seconds * 1e3:.2f} ms "
           f"(wall {outcome.wall_seconds * 1e3:.2f} ms)")
@@ -278,36 +261,35 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _run_batch(engine: Repose, data, args: argparse.Namespace) -> int:
     """Run ``--batch N`` sampled queries through ``top_k_batch``."""
     queries = sample_queries(data, count=args.batch)
-    batch = engine.top_k_batch(queries, args.k, plan=args.plan)
+    batch = engine.top_k_batch(queries, args.k)
     print(f"batch of {len(queries)} top-{args.k} queries "
-          f"({engine.measure.name}, plan={args.plan or engine.plan}):")
+          f"({engine.measure.name}):")
     for query, result in zip(queries, batch.results):
         best = (f"id {result.items[0][1]} "
                 f"distance {result.items[0][0]:.6f}"
                 if result.items else "no results")
         print(f"  query {query.traj_id:6d}: {len(result)} results, "
               f"best {best}")
-    if batch.plan is not None:
-        report = batch.plan
-        grouped = (report.grouped_queries / report.tasks_dispatched
-                   if report.tasks_dispatched else 0.0)
-        print(f"batch plan ({report.mode}): {report.tasks_dispatched} "
-              f"multi-query tasks for "
-              f"{report.partition_queries_dispatched} partition-"
-              f"queries ({grouped:.2f} queries/task), "
-              f"{report.partitions_skipped} skipped, "
-              f"{report.cross_query_tightenings} cross-query + "
-              f"{report.sampled_tightenings} sampled tightenings")
-        if report.share_eps is not None:
-            print(f"near-duplicate sharing (eps={report.share_eps:g}): "
-                  f"{report.share_groups} share groups, "
-                  f"{report.queries_shared} queries adopted a "
-                  f"representative's plan, "
-                  f"{report.queries_deduplicated} deduplicated")
-        if report.retries or report.timeouts:
-            print(f"faults: {report.retries} retries, "
-                  f"{report.timeouts} timeouts, "
-                  f"{report.speculative_wins} speculative wins")
+    report = batch.plan
+    grouped = (report.grouped_queries / report.tasks_dispatched
+               if report.tasks_dispatched else 0.0)
+    print(f"batch plan ({report.mode}): {report.tasks_dispatched} "
+          f"multi-query tasks for "
+          f"{report.partition_queries_dispatched} partition-"
+          f"queries ({grouped:.2f} queries/task), "
+          f"{report.partitions_skipped} skipped, "
+          f"{report.cross_query_tightenings} cross-query + "
+          f"{report.sampled_tightenings} sampled tightenings")
+    if report.share_eps is not None:
+        print(f"near-duplicate sharing (eps={report.share_eps:g}): "
+              f"{report.share_groups} share groups, "
+              f"{report.queries_shared} queries adopted a "
+              f"representative's plan, "
+              f"{report.queries_deduplicated} deduplicated")
+    if report.retries or report.timeouts:
+        print(f"faults: {report.retries} retries, "
+              f"{report.timeouts} timeouts, "
+              f"{report.speculative_wins} speculative wins")
     _warn_incomplete(batch)
     print(f"simulated batch time: {batch.simulated_seconds * 1e3:.2f} ms "
           f"(wall {batch.wall_seconds * 1e3:.2f} ms)")

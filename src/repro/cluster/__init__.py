@@ -1,25 +1,30 @@
-"""Mini Spark-like execution substrate.
+"""Single-machine stand-in for the paper's Spark substrate.
 
 The paper runs REPOSE on Spark (Section V-C): trajectories and the local
-RP-Trie are packaged into an ``RpTrieRDD`` and manipulated with
-``mapPartitions``/``collect``.  This subpackage provides the equivalent
-substrate for a single machine:
+RP-Trie are packaged into an ``RpTrieRDD``, built with one
+``mapPartitions`` and queried with ``mapPartitions``/``collect``.  Here
+the driver (:class:`repro.repose.DistributedTopK`) holds the built
+partitions itself and runs every build and query as per-partition tasks
+on an execution engine.  Each query shape has exactly one execution
+path: a single top-k or range query goes through the wave planner, a
+batch through the batch planner.
 
-* :class:`~repro.cluster.rdd.ClusterContext` /
-  :class:`~repro.cluster.rdd.RDD` — lazy partitioned collections with
-  ``map``, ``filter``, ``map_partitions``, ``collect``;
-* :class:`~repro.cluster.partitioner.Partitioner` — Spark's abstract
-  partitioner, subclassed by the global partitioning strategies;
-* :mod:`~repro.cluster.engine` — execution backends that record
-  per-partition task durations;
+* :mod:`~repro.cluster.rdd` — the driver-side
+  :class:`~repro.cluster.rdd.ClusterContext` (engine, calibration,
+  recorded task timings) and the planners' epoch-invalidated
+  :class:`~repro.cluster.rdd.ProbeCache`;
+* :mod:`~repro.cluster.engine` — execution backends (serial, thread,
+  process, auto) that run one task per partition, record its duration
+  and, under a fault policy, retry, time out and speculate;
 * :mod:`~repro.cluster.scheduler` — a simulated ``W x C``-core cluster
-  that schedules recorded task durations and reports the makespan, which
-  stands in for wall-clock query time on the paper's 16-node cluster
-  (see DESIGN.md, substitutions);
+  that schedules recorded task durations and reports the makespan.  It
+  stands in for wall-clock query time on the paper's 16-node cluster,
+  which one machine cannot measure directly;
 * :mod:`~repro.cluster.planner` — the two-phase query planner: probe
   partitions for first-level lower bounds, dispatch them in promise
   order through coordinated waves, and broadcast the tightening global
-  k-th-best distance into every later wave's local searches;
+  k-th-best distance into every later wave's local searches.  One wave
+  of all partitions is the paper's one-shot fan-out;
 * :mod:`~repro.cluster.batch` — the multi-query batch planner: shared
   (cached) probes, partition-affinity task grouping, and a per-query
   threshold vector with cross-query triangle-inequality reuse;
@@ -27,16 +32,12 @@ substrate for a single machine:
   (mutable VP-tree with content-fingerprint prefilter and a shared
   pair cache) the batch planner's query scans — share clustering,
   cross-query tightening, registry neighbor lookups — run against,
-  plus the incremental cross-wave cache for sampled non-metric bounds.
+  plus the incremental cross-wave cache for sampled non-metric bounds;
+* :mod:`~repro.cluster.service` — the always-on micro-batching service
+  in front of the batch planner.
 """
 
-from .rdd import RDD, ClusterContext, ProbeCache
-from .partitioner import (
-    HashPartitioner,
-    ListPartitioner,
-    Partitioner,
-    RoundRobinPartitioner,
-)
+from .rdd import ClusterContext, ProbeCache
 from .engine import ExecutionEngine, TaskTiming
 from .scheduler import (
     ClusterSpec,
@@ -51,13 +52,8 @@ from .query_index import IncrementalSampledBounds, QueryIndex
 from .batch import BatchPlanReport, BatchQueryPlanner
 
 __all__ = [
-    "RDD",
     "ClusterContext",
     "ProbeCache",
-    "Partitioner",
-    "HashPartitioner",
-    "RoundRobinPartitioner",
-    "ListPartitioner",
     "ExecutionEngine",
     "TaskTiming",
     "ClusterSpec",

@@ -96,9 +96,11 @@ through every micro-batch of a query stream.
 Every threshold is applied strictly and upper-bounds the query's final
 k-th-best distance, and each query's merge is the single-query merge,
 so every per-query answer is **bit-identical** to running that query
-alone under ``plan="single"`` — property-tested for all six measures
-in ``tests/test_batch_planner.py`` and fuzzed across random batch
-mixes in ``tests/test_fuzz_equivalence.py``.  The batch only removes
+alone through :meth:`repro.repose.DistributedTopK.top_k` —
+property-tested for all six measures in ``tests/test_batch_planner.py``
+and fuzzed across random batch mixes in
+``tests/test_fuzz_equivalence.py``, both against a brute-force
+oracle.  The batch only removes
 work: fewer probes (caching, share-group adoption), fewer dispatched
 tasks (grouping, dedup), fewer exact refinements (dedup, and earlier
 tighter thresholds).
@@ -165,9 +167,8 @@ class BatchPlanReport:
     counts) stays as inspectable as it is for single queries.
     """
 
-    #: ``"batch-waves"`` for planned batches, ``"batch-fifo"`` for the
-    #: FIFO one-shot comparison path
-    #: (:meth:`repro.repose.DistributedTopK.top_k_batch_scheduled`).
+    #: Plan kind tag, ``"batch-waves"`` (shared with every per-query
+    #: report, which single queries tag ``"waves"``).
     mode: str = "batch-waves"
     #: Queries in the batch.
     num_queries: int = 0

@@ -13,10 +13,10 @@ Backends:
   this gives real parallelism for distance-heavy workloads);
 * ``"process"`` — a process pool, for DP-heavy measures (EDR/LCSS row
   scans) whose Python-level loops keep the GIL held.  Tasks and their
-  results must be picklable: the mini-RDD's task chain and the REPOSE
-  partition functions are module-level callables for exactly this
-  reason, so the whole distributed engine runs on real subprocess
-  workers when user-supplied functions are picklable too;
+  results must be picklable: the REPOSE build and query tasks are
+  module-level callables for exactly this reason, so the whole
+  distributed engine runs on real subprocess workers when
+  user-supplied index factories are picklable too;
 * ``"auto"`` — pick one of the above per :meth:`ExecutionEngine.run`
   call from a small cost model over :class:`WorkloadHints` (measure
   class x partition size x batch width; see :func:`choose_backend`).
@@ -111,8 +111,8 @@ class WorkloadHints:
         with the group width even though ``num_tasks`` shrinks; this
         keeps the cost model's total-work estimate honest for them.
     kernels:
-        Resolved DP kernel backend the refiner will run (``"numba"``,
-        ``"cnative"``, ``"numpy"``, or ``None`` for the numpy default;
+        Resolved DP kernel backend the refiner will run
+        (``"cnative"``, ``"numpy"``, or ``None`` for the numpy default;
         never ``"auto"`` — the driver resolves before hinting).
         Compiled backends shrink the exact-DP share of a task and run
         it outside the GIL, which shifts both the per-point cost and
@@ -164,13 +164,12 @@ _DP_MEASURES = frozenset({"frechet", "dtw", "erp", "edr", "lcss"})
 #: compiled backend instead of the numpy sweeps.  Used only until
 #: :meth:`ExecutionEngine.calibrate` measures the real composite rate.
 _COMPILED_COST_SCALE = {
-    "numba": 0.2,
     "cnative": 0.25,
 }
 
 #: GIL-held share for DP measures under a compiled backend: the row
 #: loops that kept EDR/LCSS Python-bound move into native code that
-#: releases (cnative) or never takes (numba nogil regions) the GIL.
+#: releases the GIL.
 _COMPILED_GIL_FRACTION = 0.15
 
 
@@ -416,8 +415,7 @@ def require_results(outcomes: Sequence[TaskOutcome]) -> list[object]:
     """Unwrap outcomes into plain results, raising on any failure.
 
     The fail-fast adapter for call sites that cannot degrade
-    gracefully (``RDD.collect_partitions``, the FIFO scheduled batch
-    path): raises :class:`~repro.exceptions.TaskFailedError` naming the
+    gracefully (the index build): raises :class:`~repro.exceptions.TaskFailedError` naming the
     failed partitions, otherwise returns results in partition order.
     """
     failed = [o for o in outcomes if not o.ok]
@@ -810,8 +808,12 @@ class ExecutionEngine:
         while no replacement has won), launches one speculative
         duplicate per straggling task, moves timed-out/crashed process
         tasks to the thread pool, and rebuilds a broken process pool at
-        most once per run.  Returns one :class:`TaskOutcome` per task,
-        in partition order; never raises for task-level faults.
+        most once per run.  Breaks are counted per pool instance: one
+        dead worker fails every future of its pool, which is still one
+        break.  :attr:`last_backend` reports where attempts actually
+        ran (``"mixed"`` when on both pools).  Returns one
+        :class:`TaskOutcome` per task, in partition order; never raises
+        for task-level faults.
         """
         policy = self.fault_policy
         estimate = self._estimate_task_seconds(hints)
@@ -824,28 +826,28 @@ class ExecutionEngine:
         timeout_count = [0] * n
         thread_only = [False] * n
         last_failure: list[tuple[str, str, float] | None] = [None] * n
-        # future -> [pid, start, speculative, abandoned, on_threads]
+        # future -> [pid, start, speculative, abandoned, pool]
         in_flight: dict[object, list] = {}
         retry_at: dict[int, float] = {}
         use_processes = backend == "process"
-        pool_broke_once = False
-        mixed = False
+        broken_pools: set[object] = set()
+        ran_on: set[str] = set()
 
         def submit(pid: int, speculative: bool = False) -> None:
-            nonlocal mixed
             on_threads = thread_only[pid] or not use_processes
-            if on_threads and use_processes:
-                mixed = True
             if speculative:
                 spec_launched[pid] += 1
             else:
                 attempts[pid] += 1
             if on_threads:
-                future = self._threads().submit(self._timed, pid, tasks[pid])
+                pool = self._threads()
+                future = pool.submit(self._timed, pid, tasks[pid])
             else:
-                future = self._processes().submit(_timed_task, pid, tasks[pid])
+                pool = self._processes()
+                future = pool.submit(_timed_task, pid, tasks[pid])
+            ran_on.add("thread" if on_threads else "process")
             in_flight[future] = [pid, time.monotonic(), speculative, False,
-                                 on_threads]
+                                 pool]
 
         def active_attempts(pid: int) -> int:
             return sum(1 for info in in_flight.values()
@@ -922,19 +924,21 @@ class ExecutionEngine:
                 info = in_flight.pop(future, None)
                 if info is None:
                     continue
-                pid, start, speculative, abandoned, ran_on_threads = info
+                pid, start, speculative, abandoned, pool = info
                 if outcomes[pid] is not None:
                     continue
                 elapsed = time.monotonic() - start
                 try:
                     result, timing = future.result()
                 except BrokenExecutor as exc:
-                    self._dispose_process_pool()
-                    if pool_broke_once:
-                        # Second break in one run: stop trusting
-                        # processes entirely for the rest of it.
-                        use_processes = False
-                    pool_broke_once = True
+                    if pool not in broken_pools:
+                        broken_pools.add(pool)
+                        if pool is self._process_pool:
+                            self._dispose_process_pool()
+                        if len(broken_pools) > 1:
+                            # A rebuilt pool broke too: stop trusting
+                            # processes for the rest of this run.
+                            use_processes = False
                     if not abandoned:
                         attempt_failed(pid, "crash", repr(exc), elapsed)
                 except (pickle.PicklingError, AttributeError,
@@ -947,7 +951,7 @@ class ExecutionEngine:
                     # budget.  The same exception types raised by the
                     # task itself *executing* on the thread pool are
                     # ordinary task errors.
-                    if ran_on_threads:
+                    if isinstance(pool, ThreadPoolExecutor):
                         if not abandoned:
                             attempt_failed(pid, "error", repr(exc), elapsed)
                     else:
@@ -986,6 +990,6 @@ class ExecutionEngine:
                     submit(pid, speculative=True)
         for future in in_flight:
             future.cancel()
-        self.last_backend = ("mixed" if (mixed and backend == "process")
-                             else backend)
+        self.last_backend = ("mixed" if len(ran_on) > 1
+                             else next(iter(ran_on), backend))
         return outcomes

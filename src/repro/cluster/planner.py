@@ -26,9 +26,9 @@ one-shot fan-out with a coordinated two-phase plan:
 Threshold propagation only ever prunes work: the broadcast ``dk`` is
 applied strictly (candidates tied with it survive, matching the driver
 merge's (distance, tid) tie-breaks) and is only finite once k global
-results exist, so waved execution is **bit-identical** to single-shot
-execution — property-tested for every measure in
-``tests/test_planner.py``.  Range queries ride the same machinery with
+results exist, so waved execution is **bit-identical** to one unpruned
+wave over every partition — property-tested for every measure in
+``tests/test_planner.py``, against a brute-force oracle.  Range queries ride the same machinery with
 the fixed radius in place of a tightening ``dk`` (no broadcasts, but
 probe-phase partition skipping applies unchanged).
 
@@ -91,7 +91,7 @@ class WaveReport:
     #: leaves the wave's longest task straggling at the barrier.
     partitions: list[int] = field(default_factory=list)
     #: Partition ids skipped because their probe bound exceeded the
-    #: running global ``dk`` — searched by a single-shot plan, not here.
+    #: running global ``dk`` — every trajectory in them is provably out.
     skipped: list[int] = field(default_factory=list)
     #: Global k-th best distance broadcast into this wave (inf for the
     #: first wave / an unfilled heap).
@@ -118,7 +118,8 @@ class PlanReport:
     alongside the usual timing numbers.
     """
 
-    #: ``"waves"`` (this planner) or ``"single"`` (one-shot fan-out).
+    #: ``"waves"`` (this planner) or ``"batch-waves"`` (one query of a
+    #: batch plan, see :mod:`repro.cluster.batch`).
     mode: str
     #: Partitions per wave the plan was cut into.
     wave_size: int

@@ -1,27 +1,24 @@
-"""A miniature RDD: lazy, partitioned, in-memory collections.
+"""Driver-side cluster state: the context and its probe cache.
 
-Mirrors the slice of the Spark Core API the paper uses (Section V-C):
-``parallelize``, ``map``, ``filter``, ``mapPartitions``, ``collect``,
-``count``, plus partitioning control via
-:class:`~repro.cluster.partitioner.Partitioner`.  Transformations are
-lazy — each RDD records its parent and a per-partition function — and
-actions trigger execution through an
-:class:`~repro.cluster.engine.ExecutionEngine`, which records the
-per-partition task durations used by the simulated scheduler.
+The paper keeps trajectories and their local RP-Tries in an RDD and
+runs ``mapPartitions``/``collect`` over it (Section V-C).  Here the
+driver holds the built partitions directly and dispatches per-partition
+tasks through an :class:`~repro.cluster.engine.ExecutionEngine`; this
+module keeps what the driver needs around those dispatches: the
+:class:`ClusterContext` (engine, calibration, recorded task timings)
+and the planners' epoch-invalidated :class:`ProbeCache`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import (ExecutionEngine, TaskTiming, WorkloadHints,
-                     require_results)
-from .partitioner import Partitioner
+from .engine import ExecutionEngine, TaskTiming
 
-__all__ = ["ProbeCache", "ClusterContext", "RDD"]
+__all__ = ["ProbeCache", "ClusterContext"]
 
 
 class ProbeCache:
@@ -115,62 +112,9 @@ class ProbeCache:
         self._entries[(partition_id, fingerprint)] = probe
 
 
-class _MapTransform:
-    """Element-wise transform (module level so process pools can
-    pickle the task chain when the user function is picklable)."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def __call__(self, part: list) -> list:
-        return [self.fn(element) for element in part]
-
-
-class _FilterTransform:
-    def __init__(self, predicate: Callable):
-        self.predicate = predicate
-
-    def __call__(self, part: list) -> list:
-        return [e for e in part if self.predicate(e)]
-
-
-class _MapPartitionsTransform:
-    def __init__(self, fn: Callable[[list], Iterable]):
-        self.fn = fn
-
-    def __call__(self, part: list) -> list:
-        return list(self.fn(part))
-
-
-class _FlatMapTransform:
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def __call__(self, part: list) -> list:
-        out: list = []
-        for element in part:
-            out.extend(self.fn(element))
-        return out
-
-
-class _PartitionTask:
-    """One partition's data plus its transformation chain."""
-
-    __slots__ = ("partition", "chain")
-
-    def __init__(self, partition: list, chain: list):
-        self.partition = partition
-        self.chain = chain
-
-    def __call__(self) -> list:
-        current = self.partition
-        for fn in self.chain:
-            current = fn(current)
-        return current
-
-
 class ClusterContext:
-    """Entry point, playing the role of Spark's ``SparkContext``."""
+    """Driver-side context, playing the role of Spark's ``SparkContext``:
+    the execution engine plus what outlives one dispatch on it."""
 
     def __init__(self, engine: ExecutionEngine | None = None):
         #: Measured cost-model rates persisted by
@@ -182,18 +126,12 @@ class ClusterContext:
         self.engine = engine if engine is not None else ExecutionEngine()
         self.last_timings: list[TaskTiming] = []
         #: Wave-aware task accounting: per-wave timing lists of the most
-        #: recent action.  Single-shot actions record one wave; the
-        #: query planner records one entry per dispatched wave, which is
+        #: recent action.  An index build records one wave; the
+        #: planners record one entry per dispatched wave, which is
         #: what the barrier-aware makespan simulation
         #: (:func:`repro.cluster.scheduler.simulate_schedule_waves`)
         #: consumes.  ``last_timings`` stays the flat concatenation.
         self.last_wave_timings: list[list[TaskTiming]] = []
-        #: Workload hints forwarded to the engine on every action, so
-        #: an ``"auto"`` engine can pick a backend per dispatch.  The
-        #: driver (:class:`repro.repose.DistributedTopK`) refreshes
-        #: this before each build/query; plain RDD users may leave it
-        #: None (the engine then stays on its deterministic default).
-        self.hints: WorkloadHints | None = None
         #: Planner probe memoization (see :class:`ProbeCache`).  The
         #: driver bumps its epoch whenever indexes are (re)built or a
         #: trajectory is inserted, so stale probes can never be served.
@@ -218,133 +156,3 @@ class ClusterContext:
         self.last_wave_timings = [list(w) for w in wave_timings]
         self.last_timings = [t for wave in self.last_wave_timings
                              for t in wave]
-
-    def parallelize(self, data: Iterable, num_partitions: int = 4,
-                    partitioner: Partitioner | None = None) -> "RDD":
-        """Distribute ``data`` into partitions.
-
-        Without a partitioner, elements are split into equal-size
-        contiguous chunks (Spark's default for ``parallelize``).
-        """
-        items = list(data)
-        if partitioner is not None:
-            partitions = partitioner.split(items)
-        else:
-            partitions = _chunk(items, num_partitions)
-        return RDD(self, source_partitions=partitions)
-
-    def from_partitions(self, partitions: Sequence[list]) -> "RDD":
-        """Wrap pre-materialized partitions (used by the strategies)."""
-        return RDD(self, source_partitions=[list(p) for p in partitions])
-
-
-class RDD:
-    """A lazy, partitioned collection.
-
-    Each RDD is either a source (materialized partitions) or a
-    transformation of a parent, holding a function applied to one whole
-    partition at a time.
-    """
-
-    def __init__(self, context: ClusterContext,
-                 source_partitions: list[list] | None = None,
-                 parent: "RDD | None" = None,
-                 transform: Callable[[list], list] | None = None):
-        self.context = context
-        self._source = source_partitions
-        self._parent = parent
-        self._transform = transform
-        if (source_partitions is None) == (parent is None):
-            raise ValueError("RDD needs exactly one of source or parent")
-
-    # -- transformations (lazy) --------------------------------------------
-
-    def map(self, fn: Callable) -> "RDD":
-        """Element-wise transformation."""
-        return RDD(self.context, parent=self, transform=_MapTransform(fn))
-
-    def filter(self, predicate: Callable) -> "RDD":
-        """Keep elements satisfying ``predicate``."""
-        return RDD(self.context, parent=self,
-                   transform=_FilterTransform(predicate))
-
-    def map_partitions(self, fn: Callable[[list], Iterable]) -> "RDD":
-        """Transform one whole partition at a time (Spark's
-        ``mapPartitions``) — the operation REPOSE uses to build and
-        query per-partition RP-Tries."""
-        return RDD(self.context, parent=self,
-                   transform=_MapPartitionsTransform(fn))
-
-    def flat_map(self, fn: Callable) -> "RDD":
-        """Map each element to an iterable and flatten the results."""
-        return RDD(self.context, parent=self, transform=_FlatMapTransform(fn))
-
-    # -- actions (eager) -----------------------------------------------------
-
-    @property
-    def num_partitions(self) -> int:
-        """Partition count of the source RDD this chain derives from."""
-        rdd: RDD = self
-        while rdd._source is None:
-            rdd = rdd._parent  # type: ignore[assignment]
-        return len(rdd._source)
-
-    def collect(self) -> list:
-        """Materialize every partition and concatenate the results."""
-        parts = self.collect_partitions()
-        out: list = []
-        for part in parts:
-            out.extend(part)
-        return out
-
-    def collect_partitions(self) -> list[list]:
-        """Materialize and return per-partition lists.
-
-        Also records per-partition task timings on the context
-        (``context.last_timings``).  Collect is an all-or-nothing
-        action: if any partition task failed terminally (possible only
-        under a :class:`~repro.cluster.engine.FaultPolicy`), raises
-        :class:`~repro.exceptions.TaskFailedError` — partial
-        collections would silently drop data.
-        """
-        chain: list[Callable[[list], list]] = []
-        rdd: RDD = self
-        while rdd._source is None:
-            chain.append(rdd._transform)  # type: ignore[arg-type]
-            rdd = rdd._parent  # type: ignore[assignment]
-        chain.reverse()
-        source = rdd._source
-
-        tasks = [_PartitionTask(part, chain) for part in source]
-        outcomes, timings = self.context.engine.run(
-            tasks, hints=self.context.hints)
-        self.context.record_timings([timings])
-        return require_results(outcomes)
-
-    def count(self) -> int:
-        """Number of elements across every materialized partition."""
-        return sum(len(part) for part in self.collect_partitions())
-
-    def reduce(self, fn: Callable) -> object:
-        """Left-fold the collected elements with ``fn`` (non-empty)."""
-        items = self.collect()
-        if not items:
-            raise ValueError("reduce of empty RDD")
-        acc = items[0]
-        for item in items[1:]:
-            acc = fn(acc, item)
-        return acc
-
-
-def _chunk(items: list, num_partitions: int) -> list[list]:
-    """Split into ``num_partitions`` contiguous, near-equal chunks."""
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be >= 1")
-    base, extra = divmod(len(items), num_partitions)
-    partitions = []
-    start = 0
-    for pid in range(num_partitions):
-        size = base + (1 if pid < extra else 0)
-        partitions.append(items[start:start + size])
-        start += size
-    return partitions

@@ -30,8 +30,8 @@ This module supplies that front-end:
 Bit-identity is preserved end to end: seeds are *certified upper
 bounds* on each query's final k-th distance, applied through the same
 strict ``nextafter`` cutoff as every other threshold in the planner,
-so ties at ``dk`` survive and served results match ``plan="single"``
-exactly.
+so ties at ``dk`` survive and every served result matches the same
+query run alone through ``engine.top_k`` exactly.
 
 Concurrency model: a single admission coroutine owns the queue.  It
 cuts one micro-batch at a time and awaits its execution (inline, or on
@@ -391,7 +391,7 @@ class ReposeService:
     """
 
     def __init__(self, engine, max_wait_ms: float = 2.0,
-                 max_batch: int = 16, plan: str = "waves",
+                 max_batch: int = 16,
                  plan_options: dict | None = None,
                  registry: HotQueryRegistry | None = None,
                  registry_capacity: int = 512,
@@ -402,7 +402,6 @@ class ReposeService:
         self.engine = engine
         self.max_wait = max(0.0, float(max_wait_ms)) / 1000.0
         self.max_batch = max(1, int(max_batch))
-        self.plan = plan
         self.plan_options = plan_options
         self.dispatch = dispatch
         if registry is None:
@@ -598,7 +597,7 @@ class ReposeService:
         for k, requests in groups.items():
             queries = [request.query for request in requests]
             call = functools.partial(
-                self.engine.top_k_batch, queries, k, plan=self.plan,
+                self.engine.top_k_batch, queries, k,
                 plan_options=self.plan_options, registry=self.registry)
             try:
                 if self.dispatch == "thread":
@@ -624,19 +623,14 @@ class ReposeService:
         degradation: a partial batch fails only the affected
         requests' exactness/completeness, not the whole service)."""
         from ..repose import QueryOutcome
-        plan = (batch_outcome.plan.per_query[index]
-                if batch_outcome.plan is not None
-                and index < len(batch_outcome.plan.per_query) else None)
-        failed = (list(batch_outcome.failed_partitions[index])
-                  if batch_outcome.failed_partitions else [])
-        exact = (batch_outcome.exact[index]
-                 if batch_outcome.exact else True)
+        failed = list(batch_outcome.failed_partitions[index])
         return QueryOutcome(
             result=batch_outcome.results[index],
             wall_seconds=batch_outcome.wall_seconds,
             simulated_seconds=batch_outcome.simulated_seconds,
-            schedule=batch_outcome.schedule, plan=plan,
-            complete=not failed, exact=exact, failed_partitions=failed)
+            plan=batch_outcome.plan.per_query[index],
+            schedule=batch_outcome.schedule, complete=not failed,
+            exact=batch_outcome.exact[index], failed_partitions=failed)
 
     def _fail_pending(self) -> None:
         """Fail every still-queued request/write (non-drain stop)."""

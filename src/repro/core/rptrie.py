@@ -4,8 +4,12 @@ The trie indexes reference trajectories (z-value sequences).  Every
 sequence is terminated by a ``$`` leaf holding the trajectory ids,
 the leaf ``Dmax``, and pivot-distance ``HR`` annotations.  For metric
 measures, ``HR[i]`` on every node stores the (min, max) distance from
-the *actual* trajectories in the subtree to pivot ``i``; this is the
-sound variant of the paper's Eq. 5 bound (see DESIGN.md section 2).
+the *actual* trajectories in the subtree to pivot ``i``.  This is the
+sound variant of the paper's Eq. 5 bound: with ``HR[i] = (lo, hi)``,
+the triangle inequality gives every trajectory ``t`` in the subtree
+``d(q, t) >= max(d(q, p_i) - hi, lo - d(q, p_i))``, whereas distances
+taken from the grid-snapped reference trajectories would be off by up
+to the cell size and could prune a true result.
 
 Construction cost is dominated by pivot-to-trajectory distance
 computation, O(N * L^2 * Np), as the paper's cost analysis states.

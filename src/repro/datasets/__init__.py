@@ -3,7 +3,9 @@
 The paper evaluates on seven real datasets (Table III).  Offline, this
 package generates synthetic stand-ins parameterized by each dataset's
 published statistics — cardinality, average length, spatial span — at a
-configurable scale (see DESIGN.md, substitutions).
+configurable scale.  The real datasets are not bundled, so every
+experiment in this repository runs on these stand-ins; the scale knob
+keeps paper-sized runs optional.
 """
 
 from .stats import DATASET_SPECS, DatasetSpec

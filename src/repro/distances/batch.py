@@ -1059,7 +1059,7 @@ class BatchRefiner:
         radius).  Used only to skip screening work for candidates that
         are already out — never to change results.
     kernels:
-        Kernel backend name (``"numpy"`` | ``"cnative"`` | ``"numba"``
+        Kernel backend name (``"numpy"`` | ``"cnative"``
         | ``"auto"``/None); resolved once via
         :func:`repro.distances.kernels.get_kernels`.
     """

@@ -2,8 +2,12 @@
 
 Mirrors the paper's Section V-C architecture: trajectories are globally
 partitioned, each partition is packaged together with its local index
-into an ``RpTraj`` record inside an RDD, ``mapPartitions`` builds and
-queries local indexes, and the driver merges per-partition top-k lists.
+into an ``RpTraj`` record, one task per partition builds the local
+indexes (the paper's ``mapPartitions``), and queries run per-partition
+local searches that the driver merges.  Every query shape has one
+execution path: single top-k and range queries go through the wave
+planner (:mod:`repro.cluster.planner`), batches through the batch
+planner (:mod:`repro.cluster.batch`).
 
 The same machinery runs the baselines — DFT, DITA and LS implement the
 local-index interface — so every algorithm is measured on an identical
@@ -13,9 +17,10 @@ Reported times:
 
 * ``wall_seconds`` — real elapsed time on this machine;
 * ``simulated_seconds`` — the makespan of the measured per-partition
-  durations FIFO-scheduled onto the virtual cluster (default: the
-  paper's 16 workers x 4 cores), the reproduction's stand-in for
-  distributed query time (QT) and index construction time (IT).
+  durations scheduled onto the virtual cluster (default: the paper's
+  16 workers x 4 cores), wave barriers included, the reproduction's
+  stand-in for distributed query time (QT) and index construction
+  time (IT).
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ from typing import Callable
 import numpy as np
 
 from .cluster.batch import BatchPlanReport, BatchQueryPlanner
-from .cluster.driver import merge_range, merge_top_k
+from .cluster.driver import merge_range
 from .cluster.engine import (ExecutionEngine, FaultPolicy, WorkloadHints,
                              require_results)
-from .cluster.planner import PlanReport, QueryPlanner, WaveReport
+from .cluster.planner import PlanReport, QueryPlanner
 from .cluster.rdd import ClusterContext
 from .cluster.scheduler import (
     ClusterSpec,
@@ -73,45 +78,22 @@ class RpTraj:
 
 
 class _BuildPartition:
-    """``mapPartitions`` function building one partition's local index.
+    """Task building one partition's local index (the paper's
+    ``mapPartitions`` build step).
 
     Module-level (rather than a closure) so the ``"process"`` execution
     backend can pickle the task when the index factory is picklable.
     """
 
-    def __init__(self, index_factory: Callable[[], object]):
+    def __init__(self, index_factory: Callable[[], object],
+                 trajectories: list[Trajectory]):
         self.index_factory = index_factory
+        self.trajectories = trajectories
 
-    def __call__(self, trajectories: list[Trajectory]) -> list[RpTraj]:
+    def __call__(self) -> RpTraj:
         index = self.index_factory()
-        index.build(trajectories)
-        return [RpTraj(trajectories=trajectories, index=index)]
-
-
-class _TopKPartition:
-    """``mapPartitions`` function running one top-k query (picklable)."""
-
-    def __init__(self, query: Trajectory, k: int, kwargs: dict):
-        self.query = query
-        self.k = k
-        self.kwargs = kwargs
-
-    def __call__(self, part: list[RpTraj]) -> list:
-        return [rp.index.top_k(self.query, self.k, **self.kwargs)
-                for rp in part]
-
-
-class _RangePartition:
-    """``mapPartitions`` function running one range query (picklable)."""
-
-    def __init__(self, query: Trajectory, radius: float, kwargs: dict):
-        self.query = query
-        self.radius = radius
-        self.kwargs = kwargs
-
-    def __call__(self, part: list[RpTraj]) -> list:
-        return [rp.index.range_query(self.query, self.radius, **self.kwargs)
-                for rp in part]
+        index.build(self.trajectories)
+        return RpTraj(trajectories=self.trajectories, index=index)
 
 
 def _make_rptrie_index(grid: Grid, measure: Measure, optimized: bool,
@@ -133,7 +115,7 @@ def _make_rptrie_index(grid: Grid, measure: Measure, optimized: bool,
 
 
 class _LocalTopKTask:
-    """One (query, partition) task of a scheduled batch (picklable)."""
+    """One (query, partition) top-k task of a wave (picklable)."""
 
     def __init__(self, rp: RpTraj, query: Trajectory, k: int, kwargs: dict):
         self.rp = rp
@@ -230,12 +212,11 @@ class BuildReport:
 
 @dataclass
 class QueryOutcome:
-    """One distributed top-k execution.
+    """One distributed top-k (or range) execution.
 
     ``plan`` carries the query planner's per-wave report (dispatch
     order, probe bounds, threshold broadcasts, per-wave pruned-node and
-    exact-refinement counts) for waved executions; it is ``None`` for
-    single-shot plans.  The same counters are also summed onto
+    exact-refinement counts).  The same counters are also summed onto
     ``result.stats`` so existing stats plumbing reports them.
 
     Degradation state (meaningful under an engine
@@ -251,9 +232,9 @@ class QueryOutcome:
     result: TopKResult
     wall_seconds: float
     simulated_seconds: float
+    plan: PlanReport
     per_partition_seconds: list[float] = field(default_factory=list)
     schedule: ScheduleReport | None = None
-    plan: PlanReport | None = None
     complete: bool = True
     exact: bool = True
     failed_partitions: list[int] = field(default_factory=list)
@@ -279,30 +260,23 @@ class BatchOutcome:
     This is the paper's Section V-A scenario: a batch of analysis
     queries (possibly skewed towards hot regions) issued at once.
     ``results`` holds one merged global top-k per query, in input
-    order.  Under the batched wave plan (:meth:`DistributedTopK
-    .top_k_batch` with ``plan="waves"``) ``plan`` carries the
+    order.  ``plan`` carries the batch planner's
     :class:`~repro.cluster.batch.BatchPlanReport` — dispatched
     multi-query tasks, per-query wave accounting, probe, share-group
-    and cross-query threshold savings; FIFO-scheduled batches
-    (:meth:`DistributedTopK.top_k_batch_scheduled`) carry the same
-    report with ``mode="batch-fifo"``, and only the sequential
-    ``plan="single"`` path leaves it None.  The makespan and
-    utilization expose the resource waste
-    that homogeneous partitioning causes when query load concentrates
-    on a few partitions.
+    and cross-query threshold savings.  The makespan and utilization
+    expose the resource waste that homogeneous partitioning causes
+    when query load concentrates on a few partitions.
 
     Degradation state mirrors :class:`QueryOutcome`, per query:
     ``complete`` is the whole batch's verdict, while ``exact[qi]`` and
-    ``failed_partitions[qi]`` report each query individually (both
-    empty for plans without per-query degradation accounting, e.g.
-    ``plan="single"``).
+    ``failed_partitions[qi]`` report each query individually.
     """
 
     results: list[TopKResult]
     wall_seconds: float
     simulated_seconds: float
+    plan: BatchPlanReport
     schedule: ScheduleReport | None = None
-    plan: BatchPlanReport | None = None
     complete: bool = True
     exact: list[bool] = field(default_factory=list)
     failed_partitions: list[list[int]] = field(default_factory=list)
@@ -460,7 +434,7 @@ class RPTrieLocalIndex:
 
 
 class DistributedTopK:
-    """Distributed top-k search: any local index on the mini-RDD engine.
+    """Distributed top-k search: any local index on the execution engine.
 
     Parameters
     ----------
@@ -489,26 +463,18 @@ class DistributedTopK:
         :class:`Repose` and :func:`make_baseline` fill it in; only
         custom index factories need to pass it explicitly.
     kernels_hint:
-        Resolved DP kernel backend name (``"numpy"``/``"cnative"``/
-        ``"numba"``) forwarded to the ``"auto"`` engine's cost model:
+        Resolved DP kernel backend name (``"numpy"``/``"cnative"``)
+        forwarded to the ``"auto"`` engine's cost model:
         compiled kernels shift per-candidate rates (and the
         serial/thread/process break-even) enough that the model keys
         its calibrated rates by ``measure+backend``.
         :meth:`Repose.build` fills it in from its ``kernels``
         argument; never affects results, only backend placement.
-    plan:
-        Query execution plan: ``"waves"`` (default) routes single
-        top-k and range queries through the two-phase
-        :class:`~repro.cluster.planner.QueryPlanner` — probe
-        partitions, dispatch them by promise in waves, and broadcast
-        the tightening global k-th-best distance into later waves —
-        while ``"single"`` keeps the paper's one-shot map-then-merge.
-        Both plans return bit-identical results; waves only prune
-        work.  Individual calls may override via ``top_k(...,
-        plan=...)``.
     plan_options:
         Planner knobs: ``{"wave_size": int}`` (partitions per wave,
-        default: the partition count cut into 4 waves);
+        default: the partition count cut into 4 waves; the partition
+        count itself gives one probe-ordered wave, the paper's
+        one-shot fan-out);
         ``{"share_eps": float}`` (batch queries within this distance
         of a share-group representative adopt its probe/wave plan —
         near-duplicate sharing, default off); ``{"sample_size": int}``
@@ -534,8 +500,6 @@ class DistributedTopK:
         partition exhausts every retry.
     """
 
-    _PLANS = ("waves", "single")
-
     #: Every knob :attr:`plan_options` accepts; anything else raises
     #: ``ValueError`` up front instead of being silently ignored.
     _PLAN_OPTION_KEYS = frozenset(
@@ -550,7 +514,6 @@ class DistributedTopK:
                  engine: ExecutionEngine | str | None = None,
                  measure_hint: str | None = None,
                  kernels_hint: str | None = None,
-                 plan: str = "waves",
                  plan_options: dict | None = None,
                  fault_policy: FaultPolicy | None = None):
         self.dataset = dataset
@@ -566,23 +529,13 @@ class DistributedTopK:
             self.context.engine.fault_policy = fault_policy
         self.measure_hint = measure_hint
         self.kernels_hint = kernels_hint
-        self.plan = self._resolve_plan(plan)
         self.plan_options = self._validate_plan_options(plan_options)
         self._partition_points: int | None = None
-        self._rdd = None
         self._parts: list[RpTraj] | None = None
         self.build_report: BuildReport | None = None
         #: The serving front-end attached by ``build(service=...)``
         #: (see :meth:`serve`); None until one is requested.
         self.service = None
-
-    def _resolve_plan(self, plan: str | None) -> str:
-        """Validate a plan name, defaulting to the engine-level plan."""
-        mode = plan if plan is not None else self.plan
-        if mode not in self._PLANS:
-            raise ValueError(
-                f"unknown plan {mode!r} (use one of {self._PLANS})")
-        return mode
 
     @classmethod
     def _validate_plan_options(cls, plan_options: dict | None) -> dict:
@@ -641,32 +594,31 @@ class DistributedTopK:
         """Partition the dataset and build one local index per partition."""
         start = time.perf_counter()
         partitions = self.strategy(self.dataset, self.num_partitions)
-        self.context.hints = self._workload_hints(len(partitions))
-        base = self.context.from_partitions(partitions)
-        packaged = (base.map_partitions(_BuildPartition(self.index_factory))
-                    .collect_partitions())
-        timings = self.context.last_timings
+        tasks = [_BuildPartition(self.index_factory, part)
+                 for part in partitions]
+        outcomes, timings = self.context.engine.run(
+            tasks, hints=self._workload_hints(len(tasks)))
+        self.context.record_timings([timings])
+        # Building is all-or-nothing: a partition whose index failed to
+        # build would silently drop its trajectories from every answer.
+        # The planners address the driver-held partitions directly.
+        self._parts = require_results(outcomes)
         wall = time.perf_counter() - start
-        # Re-wrap the built partitions so queries reuse the indexes, and
-        # keep the flat driver-side list: the planner and scheduled
-        # batches address partitions directly, without paying an engine
-        # dispatch (and, under process backends, an index pickle
-        # round-trip) just to re-materialize what the driver holds.
-        self._rdd = self.context.from_partitions(packaged)
-        self._parts = [rp for part in packaged for rp in part]
         # Fresh indexes invalidate every memoized planner probe.
         self.context.probe_cache.bump_epoch()
         schedule = simulate_schedule(timings, self.cluster_spec)
-        index_bytes = sum(part[0].index.memory_bytes()
-                          for part in packaged if part)
         self.build_report = BuildReport(
             wall_seconds=wall,
             simulated_seconds=schedule.makespan,
-            index_bytes=index_bytes,
+            index_bytes=sum(rp.index.memory_bytes() for rp in self._parts),
             partition_sizes=[len(p) for p in partitions],
             schedule=schedule,
         )
         return self.build_report
+
+    def _require_built(self, action: str) -> None:
+        if self._parts is None:
+            raise IndexNotBuiltError(f"call build() before {action}")
 
     def _query_kwargs_for(self, query: Trajectory,
                           provided: dict | None = None) -> dict:
@@ -674,48 +626,12 @@ class DistributedTopK:
 
         Subclasses override this to compute query-global state exactly
         once per query (e.g. :class:`Repose` supplies the query-to-pivot
-        distances ``dqp``); every query path — single, batch-scheduled
-        and range — threads the result through so no partition repeats
-        the work.  ``provided`` holds the caller's explicit kwargs so
-        an override can skip recomputing values the caller supplied.
+        distances ``dqp``); every query path — single, batch and range
+        — threads the result through so no partition repeats the work.
+        ``provided`` holds the caller's explicit kwargs so an override
+        can skip recomputing values the caller supplied.
         """
         return {}
-
-    def top_k(self, query: Trajectory, k: int, plan: str | None = None,
-              **query_kwargs) -> QueryOutcome:
-        """Distributed top-k: local search per partition, driver merge.
-
-        ``plan`` overrides the engine-level execution plan for this
-        query (``"waves"`` or ``"single"``; both return bit-identical
-        results).  Extra ``query_kwargs`` are forwarded to every local
-        index's ``top_k`` (on top of :meth:`_query_kwargs_for`, which
-        lets :class:`Repose` share driver-computed query-pivot
-        distances).
-        """
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before top_k()")
-        if self._resolve_plan(plan) == "waves":
-            return self._top_k_waves(query, k, query_kwargs)
-        start = time.perf_counter()
-        self.context.hints = self._workload_hints(self.num_partitions)
-        query_kwargs = self._inject_kernels(
-            {**self._query_kwargs_for(query, query_kwargs),
-             **query_kwargs})
-        partials = (self._rdd
-                    .map_partitions(_TopKPartition(query, k, query_kwargs))
-                    .collect())
-        timings = self.context.last_timings
-        result = merge_top_k(partials, k)
-        result.stats.waves = 1
-        wall = time.perf_counter() - start
-        schedule = simulate_schedule(timings, self.cluster_spec)
-        return QueryOutcome(
-            result=result,
-            wall_seconds=wall,
-            simulated_seconds=schedule.makespan,
-            per_partition_seconds=[t.seconds for t in timings],
-            schedule=schedule,
-        )
 
     def _planner(self) -> QueryPlanner:
         """The wave planner bound to this engine's execution pools."""
@@ -749,36 +665,44 @@ class DistributedTopK:
         which already get the stronger triangle coupling)."""
         return None
 
-    def _top_k_waves(self, query: Trajectory, k: int,
-                     query_kwargs: dict) -> QueryOutcome:
-        """Two-phase waved top-k (see :mod:`repro.cluster.planner`).
+    def top_k(self, query: Trajectory, k: int,
+              **query_kwargs) -> QueryOutcome:
+        """Distributed top-k through the two-phase wave planner.
 
         Probes every partition driver-side, dispatches them by promise
         in waves, folds each wave into a running global merge and
-        broadcasts the tightened ``dk`` into the next wave.  The
-        result is bit-identical to the single-shot plan; the simulated
-        time treats every wave boundary as a cluster barrier.
+        broadcasts the tightened ``dk`` into the next wave (see
+        :mod:`repro.cluster.planner`); the simulated time treats every
+        wave boundary as a cluster barrier.  Extra ``query_kwargs`` are
+        forwarded to every local index's ``top_k`` (on top of
+        :meth:`_query_kwargs_for`, which lets :class:`Repose` share
+        driver-computed query-pivot distances).
         """
+        self._require_built("top_k()")
         start = time.perf_counter()
-        parts = self._parts
         kwargs = self._inject_kernels(
             {**self._query_kwargs_for(query, query_kwargs),
              **query_kwargs})
         result, wave_timings, report = self._planner().execute_top_k(
-            parts, query, k, kwargs,
+            self._parts, query, k, kwargs,
             make_task=lambda rp, kw: _LocalTopKTask(rp, query, k, kw),
             hints=self._workload_hints(self.num_partitions))
+        return self._outcome(result, wave_timings, report, start)
+
+    def _outcome(self, result: TopKResult, wave_timings: list,
+                 report: PlanReport, start: float) -> QueryOutcome:
+        """Record one planned query's timings and wrap its outcome."""
         self.context.record_timings(wave_timings)
-        timings = self.context.last_timings
         wall = time.perf_counter() - start
         schedule = simulate_schedule_waves(wave_timings, self.cluster_spec)
         return QueryOutcome(
             result=result,
             wall_seconds=wall,
             simulated_seconds=schedule.makespan,
-            per_partition_seconds=[t.seconds for t in timings],
-            schedule=schedule,
             plan=report,
+            per_partition_seconds=[t.seconds
+                                   for t in self.context.last_timings],
+            schedule=schedule,
             complete=report.complete,
             exact=report.exact,
             failed_partitions=list(report.failed_partitions),
@@ -796,8 +720,7 @@ class DistributedTopK:
         context so they outlive the engine.  Returns the measured
         per-point rate in microseconds.
         """
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before calibrate()")
+        self._require_built("calibrate()")
         parts = [rp for rp in self._parts if rp.trajectories]
         if not parts:
             raise IndexNotBuiltError("cannot calibrate an empty dataset")
@@ -814,13 +737,11 @@ class DistributedTopK:
         return rate
 
     def top_k_batch(self, queries: list[Trajectory], k: int,
-                    plan: str | None = None,
                     plan_options: dict | None = None,
                     registry=None) -> BatchOutcome:
         """Run a batch of queries under one coordinated plan.
 
-        ``plan="waves"`` (the engine default) routes the whole batch
-        through the multi-query
+        The whole batch goes through the multi-query
         :class:`~repro.cluster.batch.BatchQueryPlanner`: every
         (query, partition) pair is probed once (served from the
         context's epoch-invalidated probe cache on repeats), queries
@@ -840,59 +761,23 @@ class DistributedTopK:
         against the VP-tree metric index of
         :mod:`repro.cluster.query_index` by default, which lifts the
         64-query cap on cross-query reuse;
-        ``plan_options={"query_index": False}`` restores the legacy
-        greedy scans (identical results, more driver-side distance
-        calls).  ``plan="single"`` runs the queries sequentially,
-        each as the paper's one-shot fan-out; ``plan="fifo"`` runs the
-        Section V-A one-shot comparison path
-        (:meth:`top_k_batch_scheduled`).  All plans return one merged
-        result per query, bit-identical to running that query alone.
-        ``plan_options`` overrides the engine-level planner knobs for
-        this call.
+        ``plan_options={"query_index": False}`` restores the greedy
+        scans (identical results, more driver-side distance calls).
+        Every query's merged result is bit-identical to running that
+        query alone through :meth:`top_k`.  ``plan_options`` overrides
+        the engine-level planner knobs for this call.
 
         ``registry`` optionally passes a
         :class:`~repro.cluster.service.HotQueryRegistry` persisting
         exact final results *across* batches (the serving layer
         threads one through every micro-batch): recurring and
         near-duplicate queries are seeded with certified thresholds
-        and exact results are stored back.  Only the ``"waves"`` plan
-        consults it.
+        and exact results are stored back.
         """
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before batch queries")
-        if plan == "fifo":
-            if plan_options:
-                # Mirrors the CLI's rejection of --plan fifo with
-                # --share-eps: the FIFO comparison path shares no work
-                # between queries, so silently dropping the options
-                # would misreport what actually ran.
-                raise ValueError(
-                    "plan='fifo' does not accept plan_options; the "
-                    "FIFO one-shot path shares no work between queries")
-            return self.top_k_batch_scheduled(queries, k)
-        plan_options = self._validate_plan_options(plan_options)
-        if self._resolve_plan(plan) == "waves":
-            return self._top_k_batch_waves(queries, k, plan_options,
-                                           registry=registry)
+        self._require_built("batch queries")
         start = time.perf_counter()
-        outcomes = [self.top_k(query, k, plan="single")
-                    for query in queries]
-        wall = time.perf_counter() - start
-        return BatchOutcome(
-            results=[outcome.result for outcome in outcomes],
-            wall_seconds=wall,
-            # Sequential per-query execution: the batch's simulated
-            # time chains the per-query makespans.
-            simulated_seconds=sum(outcome.simulated_seconds
-                                  for outcome in outcomes),
-            schedule=None)
-
-    def _top_k_batch_waves(self, queries: list[Trajectory], k: int,
-                           plan_options: dict | None = None,
-                           registry=None) -> BatchOutcome:
-        """Batched wave execution (see :mod:`repro.cluster.batch`)."""
-        start = time.perf_counter()
-        options = {**self.plan_options, **(plan_options or {})}
+        options = {**self.plan_options,
+                   **self._validate_plan_options(plan_options)}
         kwargs_list = [
             self._inject_kernels(self._query_kwargs_for(query),
                                  options=options)
@@ -920,141 +805,37 @@ class DistributedTopK:
         schedule = simulate_schedule_waves(wave_timings, self.cluster_spec)
         return BatchOutcome(results=results, wall_seconds=wall,
                             simulated_seconds=schedule.makespan,
-                            schedule=schedule, plan=report,
+                            plan=report, schedule=schedule,
                             complete=report.complete,
                             exact=[plan.exact for plan in report.per_query],
                             failed_partitions=[list(plan.failed_partitions)
                                                for plan in report.per_query])
 
-    def top_k_batch_scheduled(self, queries: list[Trajectory],
-                              k: int) -> BatchOutcome:
-        """Schedule a whole batch's tasks onto the cluster at once.
-
-        Every (query, partition) local search becomes one task; tasks
-        are dispatched FIFO, query-major, mirroring how Spark runs
-        concurrent jobs over the same executors.  Returns the batch
-        makespan and cluster utilization (Section V-A's batch-search
-        discussion).  The outcome carries a
-        :class:`~repro.cluster.batch.BatchPlanReport` with
-        ``mode="batch-fifo"`` — every (query, partition) pair
-        dispatched as its own single-query task in one unconditional
-        wave, nothing probed, grouped, deduplicated or tightened — so
-        the one-shot comparison path shares the planner's Section V-A
-        accounting instead of bypassing it.
-        """
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before batch queries")
-        parts = self._parts
-        start = time.perf_counter()
-
-        tasks = []
-        for query in queries:
-            # One driver-side kwargs computation per query (not per
-            # task): partitions share e.g. the query-pivot distances.
-            kwargs = self._inject_kernels(self._query_kwargs_for(query))
-            for rp in parts:
-                tasks.append(_LocalTopKTask(rp, query, k, kwargs))
-        # A whole batch amortizes one backend dispatch: the hints say
-        # so (batch_width), which is what lets an "auto" engine justify
-        # spinning up its process pool for DP-heavy measures.
-        task_outcomes, timings = self.context.engine.run(
-            tasks, hints=self._workload_hints(len(tasks),
-                                              batch_width=len(queries)))
-        # FIFO is the fail-fast comparison path: no planner sits above
-        # it to re-enqueue failed partitions, so a terminal task
-        # failure raises instead of degrading.
-        outputs = require_results(task_outcomes)
-        wall = time.perf_counter() - start
-
-        report = BatchPlanReport(mode="batch-fifo",
-                                 num_queries=len(queries),
-                                 wave_size=len(parts),
-                                 tasks_dispatched=len(tasks),
-                                 grouped_queries=len(tasks))
-        results = []
-        per_query = len(parts)
-        for qi in range(len(queries)):
-            partials = outputs[qi * per_query:(qi + 1) * per_query]
-            result = merge_top_k(partials, k)
-            wave = WaveReport(index=0, partitions=list(range(per_query)),
-                              dk_after=result.kth_distance())
-            wave.nodes_pruned = result.stats.nodes_pruned
-            wave.exact_refinements = result.stats.exact_refinements
-            plan = PlanReport(mode="batch-fifo", wave_size=per_query,
-                              order=list(range(per_query)),
-                              waves=[wave])
-            QueryPlanner._finalize_stats(result.stats, plan)
-            report.per_query.append(plan)
-            results.append(result)
-        schedule = simulate_schedule(timings, self.cluster_spec)
-        return BatchOutcome(results=results, wall_seconds=wall,
-                            simulated_seconds=schedule.makespan,
-                            schedule=schedule, plan=report)
-
     def range_query(self, query: Trajectory, radius: float,
-                    plan: str | None = None,
                     **query_kwargs) -> QueryOutcome:
         """Distributed range search: every trajectory within ``radius``.
 
         Supported when the local index exposes ``range_query`` (the
         RP-Trie adapter does; the baselines are top-k only).  Per-query
         driver state (:meth:`_query_kwargs_for`) is shared with every
-        partition, as in :meth:`top_k`.  Under the default
-        ``plan="waves"`` the probe phase skips partitions whose
-        first-level bound already exceeds the radius (the radius being
-        a fixed threshold, nothing propagates between waves); results
-        are identical either way.
+        partition, as in :meth:`top_k`.  The planner's probe phase
+        skips partitions whose first-level bound already exceeds the
+        radius; the radius being a fixed threshold, nothing propagates
+        between waves.
         """
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before range_query()")
-        if self._resolve_plan(plan) == "waves":
-            return self._range_waves(query, radius, query_kwargs)
+        self._require_built("range_query()")
         start = time.perf_counter()
-        self.context.hints = self._workload_hints(self.num_partitions)
-        query_kwargs = self._inject_kernels(
-            {**self._query_kwargs_for(query, query_kwargs),
-             **query_kwargs})
-        partials = (self._rdd
-                    .map_partitions(_RangePartition(query, radius,
-                                                    query_kwargs))
-                    .collect())
-        timings = self.context.last_timings
-        result = merge_range(partials)
-        result.stats.waves = 1
-        wall = time.perf_counter() - start
-        schedule = simulate_schedule(timings, self.cluster_spec)
-        return QueryOutcome(result=result, wall_seconds=wall,
-                            simulated_seconds=schedule.makespan,
-                            per_partition_seconds=[t.seconds for t in timings],
-                            schedule=schedule)
-
-    def _range_waves(self, query: Trajectory, radius: float,
-                     query_kwargs: dict) -> QueryOutcome:
-        """Probed, waved range search (planner-skipped partitions)."""
-        start = time.perf_counter()
-        parts = self._parts
         kwargs = self._inject_kernels(
             {**self._query_kwargs_for(query, query_kwargs),
              **query_kwargs})
         partials, wave_timings, report = self._planner().execute_range(
-            parts, query, radius, kwargs,
+            self._parts, query, radius, kwargs,
             make_task=lambda rp, kw: _LocalRangeTask(rp, query, radius, kw),
             hints=self._workload_hints(self.num_partitions))
-        self.context.record_timings(wave_timings)
-        timings = self.context.last_timings
         result = merge_range(partials)
         result.stats.waves = len(report.waves)
         result.stats.partitions_skipped = report.partitions_skipped
-        wall = time.perf_counter() - start
-        schedule = simulate_schedule_waves(wave_timings, self.cluster_spec)
-        return QueryOutcome(result=result, wall_seconds=wall,
-                            simulated_seconds=schedule.makespan,
-                            per_partition_seconds=[t.seconds for t in timings],
-                            schedule=schedule,
-                            plan=report,
-                            complete=report.complete,
-                            exact=report.exact,
-                            failed_partitions=list(report.failed_partitions))
+        return self._outcome(result, wave_timings, report, start)
 
     def index_bytes(self) -> int:
         if self.build_report is None:
@@ -1063,8 +844,7 @@ class DistributedTopK:
 
     def local_indexes(self) -> list[object]:
         """The per-partition local index objects, in partition order."""
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() first")
+        self._require_built("local_indexes()")
         return [rp.index for rp in self._parts]
 
     def insert(self, traj: Trajectory) -> None:
@@ -1074,8 +854,7 @@ class DistributedTopK:
         (the RP-Trie adapter does).  Subsequent queries see the new
         trajectory; the build report's partition sizes are updated.
         """
-        if self._rdd is None or self.build_report is None:
-            raise IndexNotBuiltError("call build() first")
+        self._require_built("insert()")
         sizes = self.build_report.partition_sizes
         target = min(range(len(sizes)), key=lambda pid: sizes[pid])
         rp = self._parts[target]
@@ -1103,8 +882,7 @@ class DistributedTopK:
         # Imported lazily: repro.cluster.service imports this module
         # for QueryOutcome, so a top-level import would be circular.
         from .cluster.service import ReposeService
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before serve()")
+        self._require_built("serve()")
         return ReposeService(self, **service_options)
 
 
@@ -1199,7 +977,7 @@ class Repose(DistributedTopK):
               engine: ExecutionEngine | str | None = None,
               search_options: dict | None = None,
               kernels: str | None = None,
-              plan: str = "waves", plan_options: dict | None = None,
+              plan_options: dict | None = None,
               fault_policy: FaultPolicy | None = None,
               pivot_sample: int = 500, seed: int = 7,
               service: dict | bool | None = None) -> "Repose":
@@ -1211,14 +989,12 @@ class Repose(DistributedTopK):
 
         Parameters worth calling out:
 
-        plan:
-            Query execution plan (default ``"waves"``): route single
-            queries through the two-phase planner — probe partitions,
-            dispatch by promise in waves, broadcast the tightening
-            global ``dk`` — or keep the paper's one-shot fan-out with
-            ``"single"``.  Bit-identical results either way; waves
-            only prune work.  ``plan_options={"wave_size": n}``
-            controls partitions per wave;
+        plan_options:
+            Planner knobs (queries always run through the two-phase
+            planner: probe partitions, dispatch by promise in waves,
+            broadcast the tightening global ``dk``).
+            ``plan_options={"wave_size": n}`` controls partitions per
+            wave;
             ``plan_options={"share_eps": eps}`` additionally lets
             :meth:`top_k_batch` share probe/wave plans and leaf
             tensors between near-duplicate batch queries, and
@@ -1253,8 +1029,8 @@ class Repose(DistributedTopK):
         kernels:
             DP kernel backend for the batch refinement engine
             (:mod:`repro.distances.kernels`): ``"numpy"`` (the
-            always-available vectorized sweeps), ``"numba"`` /
-            ``"cnative"`` (compiled tiers), or ``"auto"``/None (the
+            always-available vectorized sweeps), ``"cnative"`` (the
+            compiled tier), or ``"auto"``/None (the
             fastest available; the ``REPRO_KERNELS`` environment
             variable overrides the auto choice).  Requesting an
             unavailable backend raises at build time.  Backends never
@@ -1304,7 +1080,7 @@ class Repose(DistributedTopK):
                          cluster_spec=cluster_spec, engine=engine,
                          search_options=search_options,
                          kernels_hint=kernels_hint,
-                         plan=plan, plan_options=plan_options,
+                         plan_options=plan_options,
                          fault_policy=fault_policy)
         DistributedTopK.build(engine_obj)
         if service:

@@ -13,12 +13,8 @@ from repro.baselines.dita import DITAIndex, _select_pivots
 from repro.baselines.linear import LinearScanIndex
 from repro.distances import get_measure
 from repro.exceptions import IndexNotBuiltError, UnsupportedMeasureError
+from repro.testing.oracle import brute_force
 from repro.types import Trajectory
-
-
-def brute_force(measure, query, trajectories, k):
-    return sorted((measure.distance(query, t), t.traj_id)
-                  for t in trajectories)[:k]
 
 
 def assert_distances_match(result, expected):

@@ -1,10 +1,12 @@
 """The multi-query batch planner and its supporting machinery.
 
-The load-bearing property: ``top_k_batch(plan="waves")`` — shared
-(cached) probes, partition-affinity task grouping, per-query threshold
-vectors with cross-query triangle-inequality reuse — must return
-**bit-identical** per-query results to running each query alone under
-``plan="single"``, for every measure.  Alongside that property live
+The load-bearing property: ``top_k_batch`` — shared (cached) probes,
+partition-affinity task grouping, per-query threshold vectors with
+cross-query triangle-inequality reuse — must return **bit-identical**
+per-query results to running each query alone through ``top_k``, and
+every answer must pass the brute-force oracle
+(:mod:`repro.testing.oracle`), for every measure.  Alongside that
+property live
 unit tests for the pieces: the multi-query local search and its shared
 gather view, the per-query running-merge vector and its cross-query
 broadcast, the probe cache and its epoch invalidation, LPT wave
@@ -33,7 +35,9 @@ from repro.core.search import (
     local_search,
     local_search_multi,
 )
+from repro.distances import get_measure
 from repro.repose import Repose, make_baseline
+from repro.testing import oracle
 from repro.types import Trajectory, TrajectoryDataset
 
 MEASURES = ["hausdorff", "frechet", "dtw", "erp", "edr", "lcss"]
@@ -70,24 +74,35 @@ def _build(dataset, measure, **kwargs):
     return Repose.build(dataset, measure=measure, **kwargs)
 
 
+def _assert_exact(engine, queries, results, k, measure=None, corpus=None):
+    """Each batch answer is bit-identical to the query run alone
+    through ``top_k`` and passes the brute-force oracle."""
+    truth = oracle.Oracle(
+        engine.measure if measure is None else measure,
+        engine.dataset.trajectories if corpus is None else corpus)
+    for query, result in zip(queries, results):
+        assert result.items == engine.top_k(query, k).result.items
+        truth.check_top_k(result.items, query, k)
+
+
 class TestBatchBitIdentity:
     @pytest.mark.parametrize("name", MEASURES)
     def test_batch_equals_per_query_single_shot(self, skewed_dataset, name):
-        """The acceptance property: top_k_batch(plan="waves") returns,
-        per query, exactly what plan="single" returns alone — same
-        items, same distances, same tie-breaks — for every measure."""
+        """The acceptance property: top_k_batch returns, per query,
+        exactly what top_k returns for that query alone — same items,
+        same distances, same tie-breaks — and the brute-force answer,
+        for every measure."""
         engine = _build(skewed_dataset, name)
         queries = [skewed_dataset.trajectories[i] for i in (0, 1, 2, 17)]
         for k in (1, 7, 25):
-            batch = engine.top_k_batch(queries, k, plan="waves")
-            for query, result in zip(queries, batch.results):
-                single = engine.top_k(query, k, plan="single")
-                assert result.items == single.result.items
+            batch = engine.top_k_batch(queries, k)
+            _assert_exact(engine, queries, batch.results, k)
 
     def test_ties_at_global_kth_survive_cross_query_reuse(self):
         """Duplicate trajectories across partitions plus duplicate
         queries: cross-query thresholds must not drop the smaller-tid
-        twin the single-shot merge keeps at the k-th boundary."""
+        twin the oracle's (distance, tid) order keeps at the k-th
+        boundary."""
         base = _clustered_trajectories(40, seed=9)
         twin_points = [(1.0, 1.0), (1.5, 1.2), (2.0, 1.1)]
         trajs = base + [Trajectory(twin_points, traj_id=200 + i)
@@ -100,9 +115,9 @@ class TestBatchBitIdentity:
                    dataset.trajectories[0]]
         for k in (2, 4, 6):
             batch = engine.top_k_batch(queries, k)
-            for query, result in zip(queries, batch.results):
-                single = engine.top_k(query, k, plan="single")
-                assert result.items == single.result.items
+            _assert_exact(engine, queries, batch.results, k)
+            # The tie at the k-th boundary resolves to the smaller tids.
+            assert batch.results[0].ids() == list(range(200, 200 + k))
 
     def test_batch_never_does_more_partition_work(self, skewed_dataset):
         """Grouping and cross-query reuse may only remove work: the
@@ -113,7 +128,7 @@ class TestBatchBitIdentity:
         per_query_tasks = 0
         per_query_exact = 0
         for query in queries:
-            outcome = engine.top_k(query, 10, plan="waves")
+            outcome = engine.top_k(query, 10)
             per_query_tasks += sum(len(w.partitions)
                                    for w in outcome.plan.waves)
             per_query_exact += outcome.result.stats.exact_refinements
@@ -132,24 +147,9 @@ class TestBatchBitIdentity:
                                num_partitions=6)
         engine.build()
         queries = skewed_dataset.trajectories[:3]
-        batch = engine.top_k_batch(queries, 5, plan="waves")
-        for query, result in zip(queries, batch.results):
-            single = engine.top_k(query, 5, plan="single")
-            assert result.items == single.result.items
-
-    def test_sequential_plan_returns_batch_outcome(self, skewed_dataset):
-        engine = _build(skewed_dataset, "hausdorff")
-        queries = skewed_dataset.trajectories[:2]
-        batch = engine.top_k_batch(queries, 4, plan="single")
-        assert batch.plan is None
-        assert len(batch.results) == 2
-        assert batch.simulated_seconds > 0
-
-    def test_unknown_plan_rejected(self, skewed_dataset):
-        engine = _build(skewed_dataset, "hausdorff")
-        with pytest.raises(ValueError):
-            engine.top_k_batch(skewed_dataset.trajectories[:2], 3,
-                               plan="spiral")
+        batch = engine.top_k_batch(queries, 5)
+        _assert_exact(engine, queries, batch.results, 5,
+                      measure=get_measure("hausdorff"))
 
 
 class TestMultiQueryLocalSearch:
@@ -451,9 +451,7 @@ class TestProbeCache:
         batch = engine.top_k_batch(queries, 4)
         assert cache.misses == misses  # no probe recomputed
         assert cache.hits >= misses
-        for query, result in zip(queries, batch.results):
-            assert result.items == engine.top_k(
-                query, 4, plan="single").result.items
+        _assert_exact(engine, queries, batch.results, 4)
 
     def test_insert_invalidates_probes(self, skewed_dataset):
         engine = _build(skewed_dataset, "hausdorff",
@@ -502,7 +500,7 @@ class TestNearDuplicateSharing:
     @pytest.mark.parametrize("name", ["hausdorff", "dtw", "edr"])
     def test_share_groups_stay_bit_identical(self, skewed_dataset, name):
         """share_eps only shares plans and tensors — every member of a
-        share group still gets its exact single-shot answer."""
+        share group still gets its exact answer."""
         rng = np.random.default_rng(11)
         engine = _build(skewed_dataset, name)
         base = [skewed_dataset.trajectories[i] for i in (0, 5)]
@@ -511,9 +509,7 @@ class TestNearDuplicateSharing:
         queries = base + jittered + [skewed_dataset.trajectories[40]]
         batch = engine.top_k_batch(queries, 8, plan_options={
             "share_eps": 1.0})
-        for query, result in zip(queries, batch.results):
-            single = engine.top_k(query, 8, plan="single")
-            assert result.items == single.result.items
+        _assert_exact(engine, queries, batch.results, 8)
         assert batch.plan.share_eps == 1.0
         assert batch.plan.share_groups >= 1
         assert batch.plan.queries_shared >= 2
@@ -631,9 +627,8 @@ class TestNearDuplicateSharing:
                                    plan_options={"share_eps": 100.0})
         assert batch.plan.share_groups == 0
         assert batch.plan.queries_shared == 0
-        for query, result in zip(queries, batch.results):
-            assert result.items == engine.top_k(
-                query, 4, plan="single").result.items
+        _assert_exact(engine, queries, batch.results, 4,
+                      measure=get_measure("hausdorff"))
 
 
 class TestSampledBounds:
@@ -653,9 +648,7 @@ class TestSampledBounds:
             "share_eps": 1.0})
         assert tightened.plan.sampled_tightenings > 0
         assert tightened.plan.cross_query_tightenings == 0  # non-metric
-        for query, result in zip(queries, tightened.results):
-            assert result.items == engine.top_k(
-                query, 6, plan="single").result.items
+        _assert_exact(engine, queries, tightened.results, 6)
 
     def test_disabled_sampled_bound_is_a_noop_for_non_metric(
             self, skewed_dataset):
@@ -667,9 +660,7 @@ class TestSampledBounds:
                                    plan_options={"sample_size": 0})
         assert batch.plan.sampled_tightenings == 0
         assert batch.plan.cross_query_tightenings == 0
-        for query, result in zip(queries, batch.results):
-            assert result.items == engine.top_k(
-                query, 5, plan="single").result.items
+        _assert_exact(engine, queries, batch.results, 5)
 
     def test_small_sample_size_is_raised_to_k_not_disabled(self):
         """A configured sample_size below k is clamped up to k (only 0
@@ -795,7 +786,7 @@ class TestRunningTopKVectorBoundaries:
 
     def test_single_query_batch(self, skewed_dataset):
         """Boundary: a batch of one runs the full machinery (no
-        pairwise, no sharing partner) and matches single-shot."""
+        pairwise, no sharing partner) and matches the query alone."""
         engine = _build(skewed_dataset, "hausdorff")
         query = skewed_dataset.trajectories[3]
         batch = engine.top_k_batch([query], 5, plan_options={
@@ -803,8 +794,7 @@ class TestRunningTopKVectorBoundaries:
         assert batch.plan.num_queries == 1
         assert batch.plan.cross_query_tightenings == 0
         assert batch.plan.share_groups == 0
-        assert batch.results[0].items == engine.top_k(
-            query, 5, plan="single").result.items
+        _assert_exact(engine, [query], batch.results, 5)
 
     def test_empty_vector_broadcast(self):
         vector = RunningTopKVector(0, k=3)
@@ -843,52 +833,8 @@ class TestProbeCacheEpochRegression:
         fresh = engine.top_k_batch([Trajectory(probe.points,
                                                traj_id=7001)], 1)
         assert fresh.results[0].ids() == [7000]
-        for query, result in zip(queries, cold.results):
-            assert result.items == engine.top_k(
-                query, 4, plan="single").result.items
-
-
-class TestScheduledBatchReport:
-    def test_fifo_path_reports_through_batch_plan_report(
-            self, skewed_dataset):
-        """Satellite: top_k_batch_scheduled no longer bypasses
-        BatchPlanReport — Section V-A accounting comes with it."""
-        engine = _build(skewed_dataset, "hausdorff")
-        queries = skewed_dataset.trajectories[:3]
-        batch = engine.top_k_batch_scheduled(queries, 5)
-        report = batch.plan
-        assert report is not None and report.mode == "batch-fifo"
-        assert report.num_queries == 3
-        assert report.tasks_dispatched == 3 * 12
-        assert report.grouped_queries == report.tasks_dispatched
-        assert report.partition_queries_dispatched == 3 * 12
-        assert report.partitions_skipped == 0
-        assert report.queries_deduplicated == 0
-        for plan, result in zip(report.per_query, batch.results):
-            assert plan.mode == "batch-fifo"
-            assert [w.partitions for w in plan.waves] == [list(range(12))]
-            assert result.stats.waves == 1
-            assert (plan.waves[0].exact_refinements
-                    == result.stats.exact_refinements)
-            assert plan.waves[0].dk_after == result.kth_distance()
-
-    def test_plan_fifo_routes_to_scheduled(self, skewed_dataset):
-        engine = _build(skewed_dataset, "hausdorff")
-        queries = skewed_dataset.trajectories[:2]
-        batch = engine.top_k_batch(queries, 4, plan="fifo")
-        assert batch.plan is not None and batch.plan.mode == "batch-fifo"
-        for query, result in zip(queries, batch.results):
-            assert result.items == engine.top_k(
-                query, 4, plan="single").result.items
-
-    def test_plan_fifo_rejects_plan_options(self, skewed_dataset):
-        """The FIFO path shares nothing, so options that would be
-        silently dropped are rejected (mirrors the CLI check)."""
-        engine = _build(skewed_dataset, "hausdorff")
-        with pytest.raises(ValueError, match="fifo"):
-            engine.top_k_batch(skewed_dataset.trajectories[:2], 3,
-                               plan="fifo",
-                               plan_options={"share_eps": 1.0})
+        _assert_exact(engine, queries, cold.results, 4,
+                      corpus=skewed_dataset.trajectories + [probe])
 
 
 class TestSchedulerFeedback:
@@ -900,7 +846,7 @@ class TestSchedulerFeedback:
     def test_single_query_waves_dispatch_heaviest_first(self, skewed_dataset):
         engine = _build(skewed_dataset, "hausdorff")
         query = skewed_dataset.trajectories[1]
-        outcome = engine.top_k(query, 6, plan="waves")
+        outcome = engine.top_k(query, 6)
         plan = outcome.plan
         # Wave membership is still promise-cut: each wave's partitions
         # (dispatched + skipped) form a contiguous slice of the order.

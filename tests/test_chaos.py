@@ -1,14 +1,16 @@
 """Chaos suite: the fuzz equivalence harness under injected faults.
 
-Runs the PR 5 batch/single fuzz workload (see
+Runs the batch/single fuzz workload (see
 ``tests/test_fuzz_equivalence.py``) with a deterministic
 :class:`~repro.testing.faults.FaultInjector` wrapping every dispatched
 partition task and a :class:`~repro.cluster.engine.FaultPolicy` driving
 retries and timeouts.  The acceptance contract:
 
-* every query either completes (``complete=True``) **bit-identical**
-  to the fault-free single-shot answer, or comes back flagged partial
-  with accurate ``failed_partitions``;
+* every query either completes (``complete=True``) with the
+  brute-force answer (:mod:`repro.testing.oracle`), **bit-identical**
+  to the fault-free engine's, or comes back flagged partial with
+  accurate ``failed_partitions`` — and a partial flagged ``exact``
+  must still be the brute-force answer;
 * no unhandled exception ever escapes a query;
 * no wave hangs (the per-test timeout in ``conftest.py`` enforces it).
 
@@ -30,6 +32,7 @@ import pytest
 from repro.cluster.engine import FaultPolicy
 from repro.repose import Repose
 from repro.testing import FaultInjector
+from repro.testing.oracle import Oracle
 from repro.types import Trajectory, TrajectoryDataset
 
 MEASURES = ["hausdorff", "frechet", "dtw", "erp", "edr", "lcss"]
@@ -72,9 +75,10 @@ def _build_pair(measure: str):
 @pytest.mark.parametrize("measure", MEASURES)
 def test_chaos_batches_recover_bit_identical(measure):
     """Injected raise/delay faults at ``FAULT_RATE``: every batch must
-    recover through retries and stay bit-identical to fault-free
-    single-shot execution."""
+    recover through retries, pass the oracle and stay bit-identical
+    to fault-free execution."""
     baseline, chaotic = _build_pair(measure)
+    truth = Oracle(baseline.measure, baseline.dataset.trajectories)
     injector = FaultInjector(seed=BASE_SEED + MEASURES.index(measure),
                              rate=FAULT_RATE,
                              kinds=("raise", "delay"),
@@ -93,22 +97,23 @@ def test_chaos_batches_recover_bit_identical(measure):
         context = (f"measure={measure} case={case} k={k} "
                    f"options={options} seed={BASE_SEED}")
 
-        batch = chaotic.top_k_batch(queries, k, plan="waves",
-                                    plan_options=options)
+        batch = chaotic.top_k_batch(queries, k, plan_options=options)
         assert batch.complete, (
             f"recoverable faults must not lose partitions: {context} "
             f"failed={batch.failed_partitions}")
         assert all(batch.exact), context
         for qi, query in enumerate(queries):
-            expected = baseline.top_k(query, k, plan="single")
+            truth.check_top_k(batch.results[qi].items, query, k,
+                              f"query {qi}: {context}")
+            expected = baseline.top_k(query, k)
             assert batch.results[qi].items == expected.result.items, (
                 f"chaos divergence on query {qi}: {context}")
 
         single = chaotic.top_k(queries[0], k)
         assert single.complete, context
+        truth.check_top_k(single.result.items, queries[0], k, context)
         assert (single.result.items
-                == baseline.top_k(queries[0], k,
-                                  plan="single").result.items), context
+                == baseline.top_k(queries[0], k).result.items), context
 
     assert injector.total_injected > 0, (
         "the chaos run injected no faults; raise REPRO_CHAOS_CASES or "
@@ -119,8 +124,9 @@ def test_chaos_batches_recover_bit_identical(measure):
 @pytest.mark.parametrize("measure", ["hausdorff", "edr"])
 def test_chaos_with_timeouts_and_hangs(measure):
     """Hang-kind faults trip the per-task timeout; retries recover and
-    results stay bit-identical."""
+    results stay exact and bit-identical."""
     baseline, chaotic = _build_pair(measure)
+    truth = Oracle(baseline.measure, baseline.dataset.trajectories)
     chaotic.context.engine.fault_policy = FaultPolicy(
         max_retries=3, backoff_seconds=0.001, task_timeout=0.25)
     injector = FaultInjector(seed=BASE_SEED + 77, rate=0.15,
@@ -134,7 +140,8 @@ def test_chaos_with_timeouts_and_hangs(measure):
     batch = chaotic.top_k_batch(queries, 5)
     assert batch.complete
     for qi, query in enumerate(queries):
-        expected = baseline.top_k(query, 5, plan="single")
+        truth.check_top_k(batch.results[qi].items, query, 5)
+        expected = baseline.top_k(query, 5)
         assert batch.results[qi].items == expected.result.items
     chaotic.context.engine.close()
 
@@ -144,6 +151,7 @@ def test_chaos_unrecoverable_faults_are_flagged_not_raised():
     lose partitions — they must come back flagged, never raise, and
     the failed-partition list must name real partitions."""
     baseline, chaotic = _build_pair("hausdorff")
+    truth = Oracle(baseline.measure, baseline.dataset.trajectories)
     chaotic.context.engine.fault_policy = FaultPolicy(
         max_retries=0, backoff_seconds=0.001)
     injector = FaultInjector(seed=BASE_SEED + 5, rate=0.6,
@@ -155,8 +163,10 @@ def test_chaos_unrecoverable_faults_are_flagged_not_raised():
         query = baseline.dataset.trajectories[qi * 7]
         outcome = chaotic.top_k(query, 5)  # must not raise
         assert isinstance(outcome.complete, bool)
+        if outcome.exact:
+            truth.check_top_k(outcome.result.items, query, 5)
         if outcome.complete:
-            expected = baseline.top_k(query, 5, plan="single")
+            expected = baseline.top_k(query, 5)
             assert outcome.result.items == expected.result.items
         else:
             saw_partial = True

@@ -84,18 +84,15 @@ class TestQuery:
                      "--measure", "frechet"]) == 0
         assert "frechet" in capsys.readouterr().out
 
-    def test_plan_and_wave_size_flags(self, csv_dataset, capsys):
+    def test_wave_size_flag(self, csv_dataset, capsys):
         assert main(["query", str(csv_dataset), "--k", "3",
                      "--partitions", "4", "--delta", "0.15",
-                     "--plan", "waves", "--wave-size", "2"]) == 0
+                     "--wave-size", "2"]) == 0
         out = capsys.readouterr().out
-        assert "plan:" in out and "waves" in out
-        assert main(["query", str(csv_dataset), "--k", "3",
-                     "--partitions", "4", "--delta", "0.15",
-                     "--plan", "single"]) == 0
-        assert "plan:" not in capsys.readouterr().out
+        assert "plan: 2 waves" in out
 
     def test_unknown_plan_rejected(self):
+        # Every query runs through the planners; there is no plan flag.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["query", "d.csv",
                                        "--plan", "spiral"])
@@ -149,35 +146,10 @@ class TestQuery:
         assert picked == [line for line in legacy.splitlines()
                           if "results, best" in line]
 
-    def test_batch_fifo_plan_reports(self, csv_dataset, capsys):
-        assert main(["query", str(csv_dataset), "--k", "2",
-                     "--partitions", "4", "--delta", "0.15",
-                     "--batch", "2", "--plan", "fifo"]) == 0
-        assert "batch plan (batch-fifo):" in capsys.readouterr().out
-
-    def test_fifo_and_share_eps_require_batch(self, csv_dataset, capsys):
-        assert main(["query", str(csv_dataset), "--plan", "fifo"]) == 2
-        assert "--batch" in capsys.readouterr().err
+    def test_share_eps_requires_batch(self, csv_dataset, capsys):
         assert main(["query", str(csv_dataset),
                      "--share-eps", "0.5"]) == 2
         assert "--batch" in capsys.readouterr().err
-
-    def test_share_eps_rejected_on_non_waved_plans(self, csv_dataset,
-                                                   capsys):
-        """--share-eps on the fifo/single batch paths would be
-        silently ignored, so it is rejected outright."""
-        for plan in ("fifo", "single"):
-            assert main(["query", str(csv_dataset), "--batch", "2",
-                         "--plan", plan, "--share-eps", "0.5"]) == 2
-            assert "waved batch plan" in capsys.readouterr().err
-
-    def test_batch_single_plan_has_no_report(self, csv_dataset, capsys):
-        assert main(["query", str(csv_dataset), "--k", "2",
-                     "--partitions", "4", "--delta", "0.15",
-                     "--batch", "2", "--plan", "single"]) == 0
-        out = capsys.readouterr().out
-        assert "batch of 2 top-2 queries" in out
-        assert "batch plan" not in out
 
 
 class TestServe:

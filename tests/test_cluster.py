@@ -1,4 +1,4 @@
-"""Tests for the mini-RDD engine, partitioners and simulated scheduler."""
+"""Tests for the execution engine, driver merge and simulated scheduler."""
 
 import pytest
 
@@ -10,144 +10,8 @@ from repro.cluster.engine import (
     require_results,
 )
 from repro.cluster.driver import merge_top_k
-from repro.cluster.partitioner import (
-    HashPartitioner,
-    ListPartitioner,
-    Partitioner,
-    RoundRobinPartitioner,
-)
-from repro.cluster.rdd import ClusterContext, _chunk
 from repro.cluster.scheduler import ClusterSpec, simulate_schedule
 from repro.core.search import TopKResult
-from repro.exceptions import PartitioningError
-
-
-class TestChunk:
-    def test_even_split(self):
-        assert _chunk(list(range(8)), 4) == [[0, 1], [2, 3], [4, 5], [6, 7]]
-
-    def test_uneven_split_front_loaded(self):
-        parts = _chunk(list(range(7)), 3)
-        assert [len(p) for p in parts] == [3, 2, 2]
-
-    def test_more_partitions_than_items(self):
-        parts = _chunk([1, 2], 4)
-        assert [len(p) for p in parts] == [1, 1, 0, 0]
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            _chunk([1], 0)
-
-
-class TestPartitioners:
-    def test_round_robin_cycles(self):
-        p = RoundRobinPartitioner(3)
-        assert [p.partition(None) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
-
-    def test_hash_partitioner_in_range(self):
-        p = HashPartitioner(4, key=lambda s: s)
-        for word in ("alpha", "beta", "gamma"):
-            assert 0 <= p.partition(word) < 4
-
-    def test_list_partitioner(self):
-        class Item:
-            def __init__(self, tid):
-                self.traj_id = tid
-        p = ListPartitioner(2, assignment={1: 0, 2: 1})
-        assert p.partition(Item(1)) == 0
-        assert p.partition(Item(2)) == 1
-        with pytest.raises(PartitioningError):
-            p.partition(Item(3))
-
-    def test_split_collects_partitions(self):
-        p = RoundRobinPartitioner(2)
-        assert p.split([1, 2, 3, 4]) == [[1, 3], [2, 4]]
-
-    def test_invalid_partition_count(self):
-        with pytest.raises(PartitioningError):
-            RoundRobinPartitioner(0)
-
-    def test_out_of_range_pid_detected(self):
-        class Bad(Partitioner):
-            def partition(self, element):
-                return 99
-        with pytest.raises(PartitioningError):
-            Bad(2).split([1])
-
-
-class TestRDD:
-    def test_map_collect(self):
-        ctx = ClusterContext()
-        rdd = ctx.parallelize(range(10), num_partitions=3)
-        assert rdd.map(lambda v: v * 2).collect() == [v * 2 for v in range(10)]
-
-    def test_filter(self):
-        ctx = ClusterContext()
-        rdd = ctx.parallelize(range(10), num_partitions=3)
-        assert rdd.filter(lambda v: v % 2 == 0).collect() == [0, 2, 4, 6, 8]
-
-    def test_map_partitions_sees_whole_partition(self):
-        ctx = ClusterContext()
-        rdd = ctx.parallelize(range(9), num_partitions=3)
-        sums = rdd.map_partitions(lambda part: [sum(part)]).collect()
-        assert sums == [3, 12, 21]
-
-    def test_flat_map(self):
-        ctx = ClusterContext()
-        rdd = ctx.parallelize([1, 2], num_partitions=2)
-        assert rdd.flat_map(lambda v: [v, v]).collect() == [1, 1, 2, 2]
-
-    def test_lazy_until_action(self):
-        ctx = ClusterContext()
-        calls = []
-        rdd = ctx.parallelize(range(4), num_partitions=2).map(
-            lambda v: calls.append(v) or v)
-        assert calls == []
-        rdd.collect()
-        assert sorted(calls) == [0, 1, 2, 3]
-
-    def test_chained_transformations(self):
-        ctx = ClusterContext()
-        rdd = (ctx.parallelize(range(20), num_partitions=4)
-               .filter(lambda v: v % 2 == 0)
-               .map(lambda v: v + 1))
-        assert rdd.collect() == [v + 1 for v in range(20) if v % 2 == 0]
-
-    def test_count_and_reduce(self):
-        ctx = ClusterContext()
-        rdd = ctx.parallelize(range(10), num_partitions=3)
-        assert rdd.count() == 10
-        assert rdd.reduce(lambda a, b: a + b) == 45
-
-    def test_reduce_empty_raises(self):
-        ctx = ClusterContext()
-        with pytest.raises(ValueError):
-            ctx.parallelize([], num_partitions=2).reduce(lambda a, b: a)
-
-    def test_timings_recorded_per_partition(self):
-        ctx = ClusterContext()
-        rdd = ctx.parallelize(range(8), num_partitions=4)
-        rdd.collect()
-        assert len(ctx.last_timings) == 4
-        assert all(t.seconds >= 0 for t in ctx.last_timings)
-
-    def test_custom_partitioner(self):
-        ctx = ClusterContext()
-        rdd = ctx.parallelize(range(6), partitioner=RoundRobinPartitioner(2))
-        assert rdd.collect_partitions() == [[0, 2, 4], [1, 3, 5]]
-
-    def test_thread_backend_matches_serial(self):
-        serial = ClusterContext(ExecutionEngine("serial"))
-        threaded = ClusterContext(ExecutionEngine("thread", max_workers=4))
-        data = list(range(100))
-        fn = lambda part: [sum(part)]
-        a = serial.parallelize(data, 8).map_partitions(fn).collect()
-        b = threaded.parallelize(data, 8).map_partitions(fn).collect()
-        assert a == b
-
-    def test_invalid_backend(self):
-        with pytest.raises(ValueError):
-            ExecutionEngine("gpu")
 
 
 class TestScheduler:
@@ -313,7 +177,7 @@ class TestAutoBackend:
 
     def test_auto_never_changes_distributed_results(self):
         # The acceptance regression: backend auto-selection is a pure
-        # placement decision; top-k and scheduled-batch results must be
+        # placement decision; top-k, batch and range results must be
         # identical to the serial engine's.
         from repro.repose import Repose
         from repro.types import Trajectory, TrajectoryDataset
@@ -332,8 +196,8 @@ class TestAutoBackend:
             for query in queries:
                 assert (auto.top_k(query, 7).result.items
                         == serial.top_k(query, 7).result.items)
-            batch_auto = auto.top_k_batch_scheduled(queries, 5)
-            batch_serial = serial.top_k_batch_scheduled(queries, 5)
+            batch_auto = auto.top_k_batch(queries, 5)
+            batch_serial = serial.top_k_batch(queries, 5)
             assert ([r.items for r in batch_auto.results]
                     == [r.items for r in batch_serial.results])
             radius = serial.top_k(queries[0], 5).result.kth_distance()
@@ -371,7 +235,7 @@ class TestPersistentPools:
 
 class TestProcessBackendDistributed:
     def test_distributed_engine_on_process_backend(self):
-        # Top-k through the mini-RDD with real subprocess workers; the
+        # Build and top-k with real subprocess workers; the
         # LinearScanIndex partitions pickle cleanly.
         from repro.repose import make_baseline
         from repro.types import Trajectory, TrajectoryDataset

@@ -261,6 +261,21 @@ class TestProcessFaults:
         assert require_results(again) == [4, 9]
         engine.close()
 
+    def test_one_dead_pool_is_one_break(self):
+        # Both tasks kill their worker, so the one dead pool fails both
+        # in-flight futures.  That is a single break: neither future
+        # may count as a second one, and both crashed attempts still
+        # show in where the run's attempts ran.
+        engine = ExecutionEngine("process", max_workers=2,
+                                 fault_policy=FAST)
+        pid = os.getpid()
+        outcomes, _ = engine.run([_ExitUnlessPid("a", safe_pid=pid),
+                                  _ExitUnlessPid("b", safe_pid=pid)])
+        assert require_results(outcomes) == ["a", "b"]
+        assert [o.attempts for o in outcomes] == [2, 2]
+        assert engine.last_backend == "mixed"
+        engine.close()
+
     def test_unpicklable_tasks_redispatch_without_budget(self):
         engine = ExecutionEngine("process", max_workers=2,
                                  fault_policy=FaultPolicy(

@@ -1,18 +1,19 @@
-"""Randomized batch/single equivalence fuzzing.
+"""Randomized batch/single fuzzing against a brute-force oracle.
 
 The batch planner's contract is absolute: whatever combination of
 sharing machinery a batch engages — probe caching, fingerprint dedup,
 near-duplicate share groups, partition-affinity grouping, triangle or
-sampled cross-query thresholds — every per-query answer must be
-**bit-identical** to running that query alone under ``plan="single"``.
-The targeted property tests in ``tests/test_batch_planner.py`` pin the
-mechanisms; this harness hammers the *combinations*: for every measure
-it replays hundreds of randomized cases mixing duplicate, jittered and
-disjoint queries, random ``k``, wave sizes, ``share_eps`` and sampled
-bound sizes, with ``insert()`` calls interleaved between batches (so
-probe-cache epochs roll over mid-stream), and occasionally re-runs a
-batch against the now-warm probe cache or through the FIFO scheduled
-path.
+sampled cross-query thresholds — every per-query answer must pass the
+brute-force oracle (:mod:`repro.testing.oracle`, which shares no index
+or planner code with the engine) and be **bit-identical** to running
+that query alone through ``top_k``.  The targeted property tests in
+``tests/test_batch_planner.py`` pin the mechanisms; this harness
+hammers the *combinations*: for every measure it replays hundreds of
+randomized cases mixing duplicate, jittered and disjoint queries,
+random ``k``, wave sizes, ``share_eps`` and sampled bound sizes, with
+``insert()`` calls interleaved between batches (so probe-cache epochs
+roll over mid-stream), and occasionally re-runs a batch against the
+now-warm probe cache.
 
 Every case is derived from one integer seed, so the run is fully
 deterministic; any violation fails with the case seed and its full
@@ -23,8 +24,8 @@ always-on serving layer (:class:`~repro.cluster.service.ReposeService`
 on the deterministic virtual-clock loop): randomized arrival times
 land requests in randomized micro-batch cuts, recurrences are served
 registry-warm, and mid-stream barrier ``insert()``s roll the index
-epoch — and every served answer must still be bit-identical to
-``plan="single"`` at the matching index state.
+epoch — and every served answer must still pass the oracle and be
+bit-identical to ``top_k`` at the matching index state.
 
 ``REPRO_FUZZ_CASES``
     Cases per measure (default 36 — 216 total across 6 measures).
@@ -44,8 +45,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.types import Trajectory, TrajectoryDataset
 from repro.repose import Repose
+from repro.testing.oracle import Oracle
+from repro.types import Trajectory, TrajectoryDataset
 
 MEASURES = ["hausdorff", "frechet", "dtw", "erp", "edr", "lcss"]
 
@@ -123,8 +125,9 @@ def _case_options(rng: np.random.Generator, k: int) -> dict:
 
 @pytest.mark.parametrize("measure", MEASURES)
 def test_fuzz_batch_matches_single(measure):
-    """Batched execution with every sharing feature randomized stays
-    bit-identical, per query, to single-shot execution."""
+    """Batched execution with every sharing feature randomized passes
+    the oracle and stays bit-identical, per query, to the query run
+    alone."""
     build_rng = np.random.default_rng((BASE_SEED, MEASURES.index(measure)))
     dataset = TrajectoryDataset(
         name=f"fuzz-{measure}",
@@ -133,6 +136,7 @@ def test_fuzz_batch_matches_single(measure):
                       for i in range(70)])
     engine = Repose.build(dataset, measure=measure, delta=0.4,
                           num_partitions=NUM_PARTITIONS)
+    truth = Oracle(engine.measure, dataset.trajectories)
 
     for case in range(CASES_PER_MEASURE):
         case_seed = (BASE_SEED, MEASURES.index(measure), case)
@@ -140,8 +144,10 @@ def test_fuzz_batch_matches_single(measure):
         if rng.random() < 0.25:
             # Interleaved growth: bumps the probe-cache epoch, so the
             # next batch must re-probe instead of serving stale bounds.
-            engine.insert(_random_trajectory(rng, next(_INSERT_IDS),
-                                             hot=bool(rng.random() < 0.5)))
+            newcomer = _random_trajectory(rng, next(_INSERT_IDS),
+                                          hot=bool(rng.random() < 0.5))
+            engine.insert(newcomer)
+            truth.add(newcomer)
         queries = _query_mix(rng, engine)
         k = int(rng.integers(1, 13))
         options = _case_options(rng, k)
@@ -151,30 +157,26 @@ def test_fuzz_batch_matches_single(measure):
                    f"python -m pytest tests/test_fuzz_equivalence.py "
                    f"-k {measure})")
 
-        batch = engine.top_k_batch(queries, k, plan="waves",
-                                   plan_options=options)
-        expected = [engine.top_k(query, k, plan="single").result.items
+        batch = engine.top_k_batch(queries, k, plan_options=options)
+        expected = [engine.top_k(query, k).result.items
                     for query in queries]
-        for qi, (result, items) in enumerate(zip(batch.results, expected)):
+        for qi, (query, result, items) in enumerate(
+                zip(queries, batch.results, expected)):
+            truth.check_top_k(result.items, query, k,
+                              f"batch query {qi}: {context}")
             assert result.items == items, (
                 f"batch/single divergence on query {qi}: {context}")
 
         if rng.random() < 0.3:
             # Re-issue against the warm probe cache: served probes must
             # reproduce the computed ones exactly.
-            again = engine.top_k_batch(queries, k, plan="waves",
-                                       plan_options=options)
-            for qi, (result, items) in enumerate(zip(again.results,
-                                                     expected)):
+            again = engine.top_k_batch(queries, k, plan_options=options)
+            for qi, (query, result, items) in enumerate(
+                    zip(queries, again.results, expected)):
+                truth.check_top_k(result.items, query, k,
+                                  f"warm batch query {qi}: {context}")
                 assert result.items == items, (
                     f"warm-cache divergence on query {qi}: {context}")
-        if rng.random() < 0.15:
-            fifo = engine.top_k_batch(queries, k, plan="fifo")
-            assert fifo.plan is not None and fifo.plan.mode == "batch-fifo"
-            for qi, (result, items) in enumerate(zip(fifo.results,
-                                                     expected)):
-                assert result.items == items, (
-                    f"fifo divergence on query {qi}: {context}")
 
 
 SERVED_CASES_PER_MEASURE = max(2, CASES_PER_MEASURE // 6)
@@ -184,8 +186,9 @@ SERVED_CASES_PER_MEASURE = max(2, CASES_PER_MEASURE // 6)
 def test_fuzz_served_path_matches_single(measure):
     """Requests streamed through the serving layer — randomized
     arrival times, randomized windows, cold then registry-warm, with
-    optional mid-stream barrier inserts — stay bit-identical, per
-    request, to single-shot execution at the same index state."""
+    optional mid-stream barrier inserts — pass the oracle and stay
+    bit-identical, per request, to ``top_k`` at the same index
+    state."""
     build_rng = np.random.default_rng((BASE_SEED, 7,
                                        MEASURES.index(measure)))
     dataset = TrajectoryDataset(
@@ -194,6 +197,7 @@ def test_fuzz_served_path_matches_single(measure):
                       for i in range(70)])
     engine = Repose.build(dataset, measure=measure, delta=0.4,
                           num_partitions=NUM_PARTITIONS)
+    truth = Oracle(engine.measure, dataset.trajectories)
     from repro.testing import run_virtual
 
     for case in range(SERVED_CASES_PER_MEASURE):
@@ -218,8 +222,7 @@ def test_fuzz_served_path_matches_single(measure):
 
         # Phase-1 references at the pre-insert index state must be
         # computed before any traffic runs.
-        pre = [engine.top_k(query, k, plan="single").result.items
-               for query in queries]
+        pre = [engine.top_k(query, k).result.items for query in queries]
 
         async def scenario():
             service = engine.serve(max_wait_ms=max_wait_ms,
@@ -242,16 +245,23 @@ def test_fuzz_served_path_matches_single(measure):
 
         service, phase1, phase2 = run_virtual(scenario())
         assert sum(service.stats.batch_sizes) == 2 * len(queries)
-        for qi, (outcome, items) in enumerate(zip(phase1, pre)):
+        for qi, (query, outcome, items) in enumerate(
+                zip(queries, phase1, pre)):
+            truth.check_top_k(outcome.result.items, query, k,
+                              f"phase-1 request {qi}: {context}")
             assert outcome.result.items == items, (
                 f"served/single divergence on phase-1 request {qi}: "
                 f"{context}")
 
         # Phase-2 references reflect the post-insert state (the
         # engine keeps the insert applied inside the service).
-        post = [engine.top_k(query, k, plan="single").result.items
-                for query in queries]
-        for qi, (outcome, items) in enumerate(zip(phase2, post)):
+        if newcomer is not None:
+            truth.add(newcomer)
+        post = [engine.top_k(query, k).result.items for query in queries]
+        for qi, (query, outcome, items) in enumerate(
+                zip(queries, phase2, post)):
+            truth.check_top_k(outcome.result.items, query, k,
+                              f"phase-2 request {qi}: {context}")
             assert outcome.result.items == items, (
                 f"served/single divergence on phase-2 request {qi}: "
                 f"{context}")
@@ -292,10 +302,11 @@ def _total_refinements(plan) -> int:
 
 @pytest.mark.parametrize("measure", MEASURES)
 def test_fuzz_wide_batch_matches_single_with_no_worse_counters(measure):
-    """Serving-scale batches (far past the legacy 64-query cap) stay
-    bit-identical, per query, to single-shot execution under both the
-    query-index and the greedy-scan driver paths — and the index path
-    never probes or refines more than the greedy path it replaces."""
+    """Serving-scale batches (far past the legacy 64-query cap) pass
+    the oracle and stay bit-identical, per query, to ``top_k`` under
+    both the query-index and the greedy-scan driver paths — and the
+    index path never probes or refines more than the greedy path it
+    replaces."""
     build_rng = np.random.default_rng((BASE_SEED, 23,
                                        MEASURES.index(measure)))
     dataset = TrajectoryDataset(
@@ -304,6 +315,7 @@ def test_fuzz_wide_batch_matches_single_with_no_worse_counters(measure):
                       for i in range(70)])
     engine = Repose.build(dataset, measure=measure, delta=0.4,
                           num_partitions=NUM_PARTITIONS)
+    truth = Oracle(engine.measure, dataset.trajectories)
 
     case_seed = (BASE_SEED, 23, MEASURES.index(measure), 0)
     rng = np.random.default_rng(case_seed)
@@ -316,24 +328,28 @@ def test_fuzz_wide_batch_matches_single_with_no_worse_counters(measure):
                f"python -m pytest tests/test_fuzz_equivalence.py "
                f"-k 'wide and {measure}')")
 
-    # Single-shot references, memoized by point content (duplicates
+    # Per-query references, memoized by point content (duplicates
     # share one reference computation).
     memo: dict[bytes, list] = {}
     expected = []
     for query in queries:
         ckey = query.points.tobytes()
         if ckey not in memo:
-            memo[ckey] = engine.top_k(query, k,
-                                      plan="single").result.items
+            memo[ckey] = engine.top_k(query, k).result.items
         expected.append(memo[ckey])
+
+    def check(label, batch):
+        for qi, (query, result, items) in enumerate(
+                zip(queries, batch.results, expected)):
+            truth.check_top_k(result.items, query, k,
+                              f"{label} query {qi}: {context}")
+            assert result.items == items, (
+                f"{label} diverged on query {qi}: {context}")
 
     # Cold indexed run (empty registry): the lifted cap must not cost
     # exactness at serving scale.
-    cold = engine.top_k_batch(queries, k, plan="waves",
-                              plan_options=options)
-    for qi, (result, items) in enumerate(zip(cold.results, expected)):
-        assert result.items == items, (
-            f"indexed cold batch diverged on query {qi}: {context}")
+    cold = engine.top_k_batch(queries, k, plan_options=options)
+    check("indexed cold batch", cold)
 
     distinct = cold.plan.num_queries - cold.plan.queries_deduplicated
     assert distinct > 64, (
@@ -343,17 +359,11 @@ def test_fuzz_wide_batch_matches_single_with_no_worse_counters(measure):
     # Warm pair: identical engine state (probe cache and registry were
     # both populated by the cold run), so the two driver paths differ
     # only in their query-scan machinery.
-    indexed = engine.top_k_batch(queries, k, plan="waves",
-                                 plan_options=options)
+    indexed = engine.top_k_batch(queries, k, plan_options=options)
     greedy = engine.top_k_batch(
-        queries, k, plan="waves",
-        plan_options={**options, "query_index": False})
-    for qi, (result, items) in enumerate(zip(indexed.results, expected)):
-        assert result.items == items, (
-            f"indexed warm batch diverged on query {qi}: {context}")
-    for qi, (result, items) in enumerate(zip(greedy.results, expected)):
-        assert result.items == items, (
-            f"greedy warm batch diverged on query {qi}: {context}")
+        queries, k, plan_options={**options, "query_index": False})
+    check("indexed warm batch", indexed)
+    check("greedy warm batch", greedy)
 
     # Probe counters: clustering decisions are mode-identical, so the
     # probe pass must be too.

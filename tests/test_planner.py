@@ -2,9 +2,11 @@
 
 The load-bearing property: a waved plan — probe, promise-ordered
 dispatch, running-merge threshold broadcasts, probe-bound partition
-skips — must return **bit-identical** results to the single-shot
-map-then-merge plan for every measure, because threshold seeding is
-strictly work-pruning.  Alongside that property test live unit tests
+skips — must return **bit-identical** results to a single-shot plan
+(one unpruned wave over every partition, the paper's map-then-merge)
+for every measure, because threshold seeding is strictly work-pruning;
+both must match the brute-force oracle (:mod:`repro.testing.oracle`).
+Alongside that property test live unit tests
 for the pieces: the incremental driver merge (tie-breaking, stats
 summation, fold associativity), the probe's soundness, the
 threshold-seeded heap and ``local_search(dk=...)``, wave dispatch and
@@ -46,6 +48,7 @@ from repro.distances.base import get_measure
 from repro.distances.batch import BatchRefiner, refine_top_k
 from repro.distances.threshold import distance_with_threshold
 from repro.repose import Repose, make_baseline
+from repro.testing import oracle
 from repro.types import BoundingBox, Trajectory, TrajectoryDataset
 
 MEASURES = ["hausdorff", "frechet", "dtw", "erp", "edr", "lcss"]
@@ -83,42 +86,59 @@ def _build(dataset, measure, **kwargs):
     return Repose.build(dataset, measure=measure, **kwargs)
 
 
+def _single_shot(dataset, measure, **kwargs):
+    """The same engine with every partition in one wave: no threshold
+    ever reaches a partition, so nothing is pruned by propagation."""
+    partitions = kwargs.setdefault("num_partitions", 12)
+    return _build(dataset, measure, plan_options={"wave_size": partitions},
+                  **kwargs)
+
+
 class TestWavedBitIdentity:
     @pytest.mark.parametrize("name", MEASURES)
     def test_waved_equals_single_shot(self, skewed_dataset, name):
-        """The acceptance property: plan="waves" is bit-identical to
-        plan="single" — same items, same distances, same tie-breaks —
-        for every measure and several queries/k."""
+        """The acceptance property: the waved plan is bit-identical to
+        a single-shot plan — same items, same distances, same
+        tie-breaks — and to brute force, for every measure and several
+        queries/k."""
         engine = _build(skewed_dataset, name)
+        one_wave = _single_shot(skewed_dataset, name)
+        truth = oracle.Oracle(engine.measure, skewed_dataset.trajectories)
         for qi, k in ((0, 1), (1, 7), (17, 25)):
             query = skewed_dataset.trajectories[qi]
-            waved = engine.top_k(query, k, plan="waves")
-            single = engine.top_k(query, k, plan="single")
+            waved = engine.top_k(query, k)
+            single = one_wave.top_k(query, k)
+            assert len(single.plan.waves) == 1
             assert waved.result.items == single.result.items
+            truth.check_top_k(waved.result.items, query, k)
 
     @pytest.mark.parametrize("name", ["hausdorff", "dtw"])
     def test_waved_range_equals_single_shot(self, skewed_dataset, name):
         engine = _build(skewed_dataset, name)
         query = skewed_dataset.trajectories[2]
-        radius = engine.top_k(query, 8, plan="single").result.items[-1][0]
-        waved = engine.range_query(query, radius, plan="waves")
-        single = engine.range_query(query, radius, plan="single")
+        radius = engine.top_k(query, 8).result.items[-1][0]
+        waved = engine.range_query(query, radius)
+        single = _single_shot(skewed_dataset, name).range_query(query,
+                                                                 radius)
         assert waved.result.items == single.result.items
+        oracle.Oracle(engine.measure, skewed_dataset.trajectories
+                      ).check_range(waved.result.items, query, radius)
 
     def test_waved_never_refines_more(self, skewed_dataset):
         """Propagation may only remove work: the waved plan's exact
         refinement and candidate counts never exceed single-shot."""
         engine = _build(skewed_dataset, "dtw")
         query = skewed_dataset.trajectories[3]
-        waved = engine.top_k(query, 10, plan="waves").result.stats
-        single = engine.top_k(query, 10, plan="single").result.stats
+        waved = engine.top_k(query, 10).result.stats
+        single = _single_shot(skewed_dataset, "dtw").top_k(
+            query, 10).result.stats
         assert waved.exact_refinements <= single.exact_refinements
         assert waved.distance_computations <= single.distance_computations
 
     def test_ties_at_global_kth_survive_broadcast(self):
         """Duplicate trajectories land in different partitions; the
-        broadcast threshold must not drop the smaller-tid twin that the
-        single-shot merge would keep at the k-th boundary."""
+        broadcast threshold must not drop the smaller-tid twin that
+        brute force keeps at the k-th boundary."""
         base = _clustered_trajectories(40, seed=9)
         twin_points = [(1.0, 1.0), (1.5, 1.2), (2.0, 1.1)]
         trajs = base + [Trajectory(twin_points, traj_id=200 + i)
@@ -128,9 +148,9 @@ class TestWavedBitIdentity:
                         num_partitions=8, plan_options={"wave_size": 2})
         query = Trajectory(twin_points, traj_id=999)
         for k in (2, 4, 6):
-            waved = engine.top_k(query, k, plan="waves")
-            single = engine.top_k(query, k, plan="single")
-            assert waved.result.items == single.result.items
+            waved = engine.top_k(query, k)
+            assert waved.result.items == oracle.brute_force(
+                engine.measure, query, trajs, k)
 
     def test_baseline_indexes_run_under_waves(self, skewed_dataset):
         """Indexes without probe/threshold capabilities still execute
@@ -139,24 +159,16 @@ class TestWavedBitIdentity:
                                num_partitions=6)
         engine.build()
         query = skewed_dataset.trajectories[0]
-        waved = engine.top_k(query, 5, plan="waves")
-        single = engine.top_k(query, 5, plan="single")
-        assert waved.result.items == single.result.items
-
-    def test_unknown_plan_rejected(self, skewed_dataset):
-        engine = _build(skewed_dataset, "hausdorff")
-        with pytest.raises(ValueError):
-            engine.top_k(skewed_dataset.trajectories[0], 3, plan="spiral")
-        with pytest.raises(ValueError):
-            Repose.build(skewed_dataset, measure="hausdorff", delta=0.4,
-                         num_partitions=2, plan="spiral")
+        waved = engine.top_k(query, 5)
+        oracle.Oracle(get_measure("hausdorff"), skewed_dataset.trajectories
+                      ).check_top_k(waved.result.items, query, 5)
 
 
 class TestWaveStats:
     def test_plan_report_exposed(self, skewed_dataset):
         engine = _build(skewed_dataset, "hausdorff")
         query = skewed_dataset.trajectories[1]
-        outcome = engine.top_k(query, 6, plan="waves")
+        outcome = engine.top_k(query, 6)
         report = outcome.plan
         assert report is not None and report.mode == "waves"
         assert len(report.waves) == 4                # 12 partitions / 3
@@ -175,24 +187,23 @@ class TestWaveStats:
     def test_threshold_broadcasts_happen(self, skewed_dataset):
         engine = _build(skewed_dataset, "dtw")
         query = skewed_dataset.trajectories[4]
-        outcome = engine.top_k(query, 5, plan="waves")
+        outcome = engine.top_k(query, 5)
         # After wave 1 the heap holds 5 results, so every later wave
         # must have received a finite threshold.
         assert outcome.result.stats.threshold_broadcasts >= 1
         assert outcome.plan.waves[1].dk_before < float("inf")
 
-    def test_single_shot_has_no_plan_report(self, skewed_dataset):
-        engine = _build(skewed_dataset, "hausdorff")
-        outcome = engine.top_k(skewed_dataset.trajectories[0], 3,
-                               plan="single")
-        assert outcome.plan is None
+    def test_single_shot_is_one_probe_ordered_wave(self, skewed_dataset):
+        outcome = _single_shot(skewed_dataset, "hausdorff").top_k(
+            skewed_dataset.trajectories[0], 3)
+        assert [len(w.partitions) for w in outcome.plan.waves] == [12]
+        assert outcome.plan.threshold_broadcasts == 0
         assert outcome.result.stats.waves == 1
 
     def test_wave_size_floor_applies_without_options(self, skewed_dataset):
         engine = Repose.build(skewed_dataset, measure="hausdorff",
                               delta=0.4, num_partitions=4)
         outcome = engine.top_k(skewed_dataset.trajectories[0], 3)
-        assert outcome.plan is not None
         assert len(outcome.plan.waves) == 1          # floor of 8 per wave
 
 
@@ -385,9 +396,9 @@ class TestEngineWaves:
         ctx.record_timings([[TaskTiming(0, 0.1)], [TaskTiming(0, 0.2)]])
         assert len(ctx.last_wave_timings) == 2
         assert [t.seconds for t in ctx.last_timings] == [0.1, 0.2]
-        rdd = ctx.parallelize(range(4), num_partitions=2)
-        rdd.collect()
+        ctx.record_timings([[TaskTiming(0, 0.3), TaskTiming(1, 0.4)]])
         assert len(ctx.last_wave_timings) == 1
+        assert [t.seconds for t in ctx.last_timings] == [0.3, 0.4]
 
 
 class TestCalibration:
@@ -433,8 +444,9 @@ class TestCalibration:
             pytest.approx(rate)
         # Calibration must not disturb query results.
         query = skewed_dataset.trajectories[0]
-        assert engine.top_k(query, 4).result.items == \
-            engine.top_k(query, 4, plan="single").result.items
+        oracle.Oracle(engine.measure, skewed_dataset.trajectories
+                      ).check_top_k(engine.top_k(query, 4).result.items,
+                                    query, 4)
 
 
 class TestAdaptiveBand:

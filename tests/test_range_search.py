@@ -7,6 +7,7 @@ from repro.core.rptrie import RPTrie
 from repro.core.search import local_range_search, local_search
 from repro.distances import get_measure
 from repro.repose import Repose
+from repro.testing.oracle import brute_range
 from repro.types import Trajectory
 
 MEASURES = {
@@ -15,11 +16,6 @@ MEASURES = {
     "dtw": get_measure("dtw"),
     "erp": get_measure("erp"),
 }
-
-
-def brute_range(measure, query, trajectories, radius):
-    return sorted((d, t.traj_id) for t in trajectories
-                  if (d := measure.distance(query, t)) <= radius)
 
 
 @pytest.mark.parametrize("name", list(MEASURES))

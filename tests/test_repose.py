@@ -13,11 +13,8 @@ from repro.repose import (
     RPTrieLocalIndex,
     make_baseline,
 )
+from repro.testing.oracle import brute_force
 from repro.types import Trajectory
-
-
-def brute_force(measure, query, dataset, k):
-    return sorted((measure.distance(query, t), t.traj_id) for t in dataset)[:k]
 
 
 class TestReposeBuild:
@@ -112,12 +109,14 @@ class TestQueryOutcome:
         batch = engine.top_k_batch(small_dataset.trajectories[:3], 4)
         assert len(batch.results) == 3
         assert all(len(result) == 4 for result in batch.results)
-        # The default plan is the batched wave planner; per-query
-        # sequential execution returns the same results.
-        sequential = engine.top_k_batch(small_dataset.trajectories[:3], 4,
-                                        plan="single")
-        assert [r.items for r in sequential.results] == \
-            [r.items for r in batch.results]
+        # Each batch answer is the query's own top_k answer and the
+        # brute-force one.
+        measure = get_measure("hausdorff")
+        for query, result in zip(small_dataset.trajectories[:3],
+                                 batch.results):
+            assert result.items == engine.top_k(query, 4).result.items
+            assert result.items == brute_force(measure, query,
+                                               small_dataset, 4)
 
 
 class TestBaselineFactory:
@@ -199,10 +198,10 @@ class TestDriverSidePivotDistances:
         return Repose.build(small_dataset, measure="hausdorff", delta=0.5,
                             num_partitions=4, num_pivots=3)
 
-    def test_batch_scheduled_forwards_dqp(self, engine, small_dataset):
+    def test_batch_forwards_dqp(self, engine, small_dataset):
         query = small_dataset.trajectories[5]
         single = engine.top_k(query, 5)
-        batch = engine.top_k_batch_scheduled([query], 5)
+        batch = engine.top_k_batch([query], 5)
         assert batch.results[0].items == single.result.items
         # Without forwarding, every partition would recompute the
         # query-pivot distances (num_pivots per partition).

@@ -11,6 +11,7 @@ from repro.core.rptrie import RPTrie
 from repro.core.search import TopKResult, local_search
 from repro.core.succinct import SuccinctRPTrie
 from repro.distances import get_measure
+from repro.testing.oracle import brute_force
 from repro.types import Trajectory
 
 MEASURES = {
@@ -21,12 +22,6 @@ MEASURES = {
     "edr": get_measure("edr", eps=0.4),
     "erp": get_measure("erp"),
 }
-
-
-def brute_force(measure, query, trajectories, k):
-    distances = sorted(
-        (measure.distance(query, t), t.traj_id) for t in trajectories)
-    return distances[:k]
 
 
 def assert_same_distances(result: TopKResult, expected, abs_tol=1e-9):

@@ -16,7 +16,8 @@ suite covers:
 * :class:`~repro.cluster.service.HotQueryRegistry` unit behaviour
   (fingerprints, TTL/LRU eviction, epoch staleness);
 * warm recurring queries on tie-heavy data staying bit-identical to
-  ``plan="single"`` (the strict ``nextafter`` cutoff contract);
+  the query's own ``top_k`` answer (the strict ``nextafter`` cutoff
+  contract);
 * the persistent shared-gather store: staggered share-group members
   must not re-gather leaves their representative already gathered.
 """
@@ -35,6 +36,7 @@ from repro.cluster.service import HotQueryRegistry, ReposeService
 from repro.exceptions import ServiceClosedError
 from repro.repose import Repose
 from repro.testing import run_virtual
+from repro.testing.oracle import Oracle
 from repro.types import Trajectory, TrajectoryDataset
 
 SPAN = 8.0
@@ -70,8 +72,13 @@ def _build_engine(count: int = 40, seed: int = 7, measure: str = "hausdorff",
                         num_partitions=4, **build_options)
 
 
-def _single(engine, query, k):
-    return engine.top_k(query, k, plan="single").result.items
+def _single(engine, query, k, inserted=()):
+    """The query's own ``top_k`` answer, checked against brute force
+    over the engine's dataset plus the ``inserted`` trajectories."""
+    items = engine.top_k(query, k).result.items
+    Oracle(engine.measure, [*engine.dataset.trajectories, *inserted]
+           ).check_top_k(items, query, k)
+    return items
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +206,7 @@ class TestBarriersAndLifecycle:
         # The second request ran against the post-insert index and a
         # purged registry: it must see the newcomer.
         assert 5000 in [tid for _, tid in b.result.items]
-        assert b.result.items == _single(engine, query, k)
+        assert b.result.items == _single(engine, query, k, [newcomer])
         assert engine.context.probe_cache.epoch == epoch_before + 1
         counters = service.registry.counters()
         assert counters["epoch"] == engine.context.probe_cache.epoch
@@ -402,7 +409,7 @@ class TestWarmRecurrence:
         for run in runs:
             for query, k, outcome in zip(queries, (3, 4, 6), run):
                 assert outcome.result.items == _single(engine, query, k), (
-                    "served result diverged from plan='single' on "
+                    "served result diverged from top_k on "
                     "tie-heavy data")
 
 
@@ -421,12 +428,11 @@ class TestSharedGatherPersistence:
         rep = rep_engine.dataset.trajectories[4]
         jitter = Trajectory(rep.points + 1e-7, traj_id=77001)
 
-        alone = rep_engine.top_k_batch([rep], 5, plan="waves",
-                                       plan_options=options)
+        alone = rep_engine.top_k_batch([rep], 5, plan_options=options)
         alone_gathers = gathers(rep_engine)
 
         full_engine = _build_engine(seed=23, measure="lcss")
-        both = full_engine.top_k_batch([rep, jitter], 5, plan="waves",
+        both = full_engine.top_k_batch([rep, jitter], 5,
                                        plan_options=options)
         both_gathers = gathers(full_engine)
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Documentation lint: docstring coverage plus markdown link checking.
+"""Documentation lint: docstring coverage plus document references.
 
 Dependency-free stand-in for ``interrogate``/``pydocstyle`` (the CI
-image only ships numpy + pytest), enforcing two things:
+image only ships numpy + pytest), enforcing three things:
 
 1. **Docstring coverage** on the hot modules this repo documents as
    API surface (``repro.distances.batch``, ``repro.core.store``,
@@ -11,6 +11,9 @@ image only ships numpy + pytest), enforcing two things:
    ``THRESHOLD`` fails the build.
 2. **Markdown links**: every relative link target in ``README.md`` and
    ``docs/*.md`` must exist in the repository.
+3. **Cited documents**: every ``*.md`` file a docstring under ``src/``
+   names must exist in the repository, either at that path from the
+   repository root or, for a bare file name, anywhere in it.
 
 Run from anywhere: paths resolve relative to the repository root
 (this file's parent's parent).  Exit code 0 on success, 1 with a
@@ -31,7 +34,6 @@ DOC_MODULES = [
     "src/repro/distances/batch.py",
     "src/repro/distances/kernels/__init__.py",
     "src/repro/distances/kernels/cnative.py",
-    "src/repro/distances/kernels/numba_backend.py",
     "src/repro/core/store.py",
     "src/repro/core/search.py",
     "src/repro/cluster/engine.py",
@@ -53,6 +55,12 @@ DOC_FILES = ["README.md"]
 DOC_GLOBS = ["docs/*.md"]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A markdown file name (optionally with a path) inside prose.
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+
+_DOCSTRING_OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef,
+                     ast.AsyncFunctionDef)
 
 
 def _is_public(name: str) -> bool:
@@ -128,15 +136,36 @@ def check_links() -> list[str]:
     return problems
 
 
+def check_cited_documents(root: Path = REPO) -> list[str]:
+    """Every ``*.md`` file named in a ``src/`` docstring must exist."""
+    documents = [path.relative_to(root) for path in root.rglob("*.md")
+                 if ".git" not in path.parts]
+    paths = {doc.as_posix() for doc in documents}
+    names = {doc.name for doc in documents}
+    problems = []
+    for path in sorted((root / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, _DOCSTRING_OWNERS):
+                continue
+            for cited in _MD_NAME.findall(ast.get_docstring(node) or ""):
+                if cited not in paths and cited not in names:
+                    problems.append(
+                        f"{path.relative_to(root)}: docstring cites "
+                        f"missing document {cited}")
+    return problems
+
+
 def main() -> int:
-    problems = check_docstrings() + check_links()
+    problems = check_docstrings() + check_links() + check_cited_documents()
     if problems:
         print("documentation check FAILED:")
         for problem in problems:
             print(f"  - {problem}")
         return 1
     modules = ", ".join(DOC_MODULES)
-    print(f"documentation check passed ({modules}; markdown links ok)")
+    print(f"documentation check passed ({modules}; markdown links and "
+          f"cited documents ok)")
     return 0
 
 
